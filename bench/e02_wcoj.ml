@@ -6,7 +6,8 @@
    ({0} x [N]) u ([N] x {0}) (2N+... tuples each).  Every pairwise join
    contains the N^2 cross product of the two broom handles, yet the
    answer has only O(N) tuples.  We measure wall time of Generic Join
-   and LFTJ (sequential and on a Domain pool of 2 and 4), and the best
+   and LFTJ (sequential, and on a Domain pool of 2 and 4 through the
+   compiled tier's parallel driver), and the best
    (minimum over all 6 join orders!) intermediate size of binary plans,
    then fit growth exponents in N.
 
@@ -23,6 +24,7 @@ module Db = Lb_relalg.Database
 module Gj = Lb_relalg.Generic_join
 module Lf = Lb_relalg.Leapfrog
 module Bp = Lb_relalg.Binary_plan
+module C = Lb_relalg.Compile
 module Pool = Lb_util.Pool
 
 let triangle = Q.parse "R(a,b), S(b,c), T(a,c)"
@@ -64,22 +66,24 @@ let run () =
             let c = Lf.count db triangle in
             assert (c = answer))
       in
+      let gj_ir = C.lower ~engine:C.Generic triangle in
+      let lf_ir = C.lower ~engine:C.Leapfrog triangle in
       let gj2_t =
         Pool.with_pool 2 (fun pool ->
             Harness.median_time 3 (fun () ->
-                let c = Gj.count ~ctx:(Lb_util.Exec.make ~pool ()) db triangle in
+                let c = C.count ~ctx:(Lb_util.Exec.make ~pool ()) gj_ir db triangle in
                 assert (c = answer)))
       in
       let gj4_t, lf4_t =
         Pool.with_pool 4 (fun pool ->
             let g =
               Harness.median_time 3 (fun () ->
-                  let c = Gj.count ~ctx:(Lb_util.Exec.make ~pool ()) db triangle in
+                  let c = C.count ~ctx:(Lb_util.Exec.make ~pool ()) gj_ir db triangle in
                   assert (c = answer))
             in
             let l =
               Harness.median_time 3 (fun () ->
-                  let c = Lf.count ~ctx:(Lb_util.Exec.make ~pool ()) db triangle in
+                  let c = C.count ~ctx:(Lb_util.Exec.make ~pool ()) lf_ir db triangle in
                   assert (c = answer))
             in
             (g, l))

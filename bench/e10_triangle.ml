@@ -104,8 +104,9 @@ let run () =
   print_newline ();
   (* The same Boolean triangle query through the worst-case-optimal join
      engine: Generic Join over the symmetrized edge relation, sequential
-     and on a Domain pool (pools are scoped tightly - idle domains tax
-     the minor collector on small machines). *)
+     and on a Domain pool through the compiled tier's parallel driver
+     (pools are scoped tightly - idle domains tax the minor collector on
+     small machines). *)
   let wrows = ref [] in
   let wns = Harness.sizes [ 256; 512; 1024 ] in
   let wmax = List.fold_left max 0 wns in
@@ -116,15 +117,17 @@ let run () =
       let db = triangle_db g in
       let cnt = ref 0 in
       let t1 = Harness.median_time 3 (fun () -> cnt := Gj.count db triangle_q) in
+      let ir = Lb_relalg.Compile.lower ~engine:Lb_relalg.Compile.Generic triangle_q in
+      let pooled pool =
+        Lb_relalg.Compile.count ~ctx:(Lb_util.Exec.make ~pool ()) ir db triangle_q
+      in
       let t2 =
         Pool.with_pool 2 (fun pool ->
-            Harness.median_time 3 (fun () ->
-                assert (Gj.count ~ctx:(Lb_util.Exec.make ~pool ()) db triangle_q = !cnt)))
+            Harness.median_time 3 (fun () -> assert (pooled pool = !cnt)))
       in
       let t4 =
         Pool.with_pool 4 (fun pool ->
-            Harness.median_time 3 (fun () ->
-                assert (Gj.count ~ctx:(Lb_util.Exec.make ~pool ()) db triangle_q = !cnt)))
+            Harness.median_time 3 (fun () -> assert (pooled pool = !cnt)))
       in
       assert (!cnt = 0);
       (* triangle-free host *)

@@ -11,8 +11,8 @@
    hyperedges become a ternary relation of ascending triples, and the
    k-hyperclique query joins E(x_i, x_j, x_l) over every 3-subset
    {i < j < l} of the k variables.  Ascending triples make each
-   hyperclique count exactly once, and the ?pool variant exercises the
-   Domain-parallel driver on a non-binary query. *)
+   hyperclique count exactly once, and the pooled variant exercises the
+   compiled tier's Domain-parallel driver on a non-binary query. *)
 
 module H = Lb_hypergraph.Hypergraph
 module Hc = Lb_hypergraph.Hyperclique
@@ -22,6 +22,7 @@ module Q = Lb_relalg.Query
 module Rel = Lb_relalg.Relation
 module Db = Lb_relalg.Database
 module Gj = Lb_relalg.Generic_join
+module C = Lb_relalg.Compile
 
 let hyperclique_vars k = Array.init k (fun i -> Printf.sprintf "x%d" i)
 
@@ -67,10 +68,11 @@ let run () =
             (* the join engine and the brute-force search must agree *)
             assert (!cnt > 0 = (!found <> None));
             cliques_total := !cliques_total + !cnt;
+            let ir = C.lower ~engine:C.Generic ~order q in
             let gj4_t =
               Pool.with_pool 4 (fun pool ->
                   Harness.median_time 3 (fun () ->
-                      assert (Gj.count ~order ~ctx:(Lb_util.Exec.make ~pool ()) db q = !cnt)))
+                      assert (C.count ~ctx:(Lb_util.Exec.make ~pool ()) ir db q = !cnt)))
             in
             rows :=
               [

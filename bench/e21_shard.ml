@@ -1,9 +1,10 @@
 (* E21 - the sharded execution tier: hash-partitioned WCOJ runs are
    bit-identical to unsharded runs.
 
-   The triangle query over a random edge relation, evaluated by Generic
-   Join and Leapfrog unsharded and through the sharded drivers at
-   several shard counts (sequential and Domain-parallel): the claim of
+   The triangle query over a random edge relation, evaluated by the
+   sequential interpreted Generic Join and Leapfrog (the reference) and
+   through the compiled sharded driver at several shard counts
+   (sequential and Domain-parallel): the claim of
    the sharding construction is that hash-partitioning on the first
    join variable commutes with the join, so the answer count AND the
    engine work counters (intersections, seeks, emitted) come out
@@ -14,6 +15,7 @@
 
 module Gj = Lb_relalg.Generic_join
 module Lf = Lb_relalg.Leapfrog
+module C = Lb_relalg.Compile
 module Rel = Lb_relalg.Relation
 module Db = Lb_relalg.Database
 module Q = Lb_relalg.Query
@@ -34,6 +36,8 @@ let shard_counts = [ 2; 3; 7 ]
 
 let run () =
   let q = Q.parse triangle in
+  let gj_ir = C.lower ~engine:C.Generic q in
+  let lf_ir = C.lower ~engine:C.Leapfrog q in
   let rows = ref [] in
   let identical = ref true in
   let last = ref None in
@@ -49,34 +53,35 @@ let run () =
       let t_sharded = ref 0.0 in
       List.iter
         (fun k ->
-          let ck = Gj.fresh_counters () in
+          let ck = C.fresh_counters () in
           let countk, tk =
-            Harness.time (fun () -> Gj.count_sharded ~counters:ck ~shards:k db q)
+            Harness.time (fun () ->
+                C.count_sharded ~counters:ck ~shards:k gj_ir db q)
           in
           if k = List.hd shard_counts then t_sharded := tk;
           if
             countk <> count0
-            || ck.Gj.intersections <> c0.Gj.intersections
-            || ck.Gj.emitted <> c0.Gj.emitted
+            || ck.C.work <> c0.Gj.intersections
+            || ck.C.emitted <> c0.Gj.emitted
           then identical := false;
-          let lk = Lf.fresh_counters () in
-          let lcountk = Lf.count_sharded ~counters:lk ~shards:k db q in
+          let lk = C.fresh_counters () in
+          let lcountk = C.count_sharded ~counters:lk ~shards:k lf_ir db q in
           if
             lcountk <> count0
-            || lk.Lf.seeks <> l0.Lf.seeks
-            || lk.Lf.emitted <> l0.Lf.emitted
+            || lk.C.work <> l0.Lf.seeks
+            || lk.C.emitted <> l0.Lf.emitted
           then identical := false)
         shard_counts;
       (* the Domain-parallel sharded run must not change anything either *)
       Pool.with_pool 2 (fun pool ->
-          let cp = Gj.fresh_counters () in
+          let cp = C.fresh_counters () in
           let countp =
-            Gj.count_sharded ~counters:cp
+            C.count_sharded ~counters:cp
               ~ctx:Exec.(default |> with_pool pool)
-              ~shards:3 db q
+              ~shards:3 gj_ir db q
           in
-          if countp <> count0 || cp.Gj.intersections <> c0.Gj.intersections
-          then identical := false);
+          if countp <> count0 || cp.C.work <> c0.Gj.intersections then
+            identical := false);
       last := Some (count0, c0, l0);
       rows :=
         [
@@ -105,9 +110,9 @@ let run () =
       Harness.counter "E21.lf.emitted" l0.Lf.emitted;
       Harness.counter "E21.identical" (if !identical then 1 else 0));
   Harness.verdict !identical
-    "sharded Generic Join and Leapfrog (k in {2,3,7}, sequential and \
-     pooled) reproduced the unsharded answer counts and work counters \
-     bit-for-bit: hash partitioning on the first join variable commutes \
+    "compiled sharded Generic Join and Leapfrog (k in {2,3,7}, \
+     sequential and pooled) reproduced the sequential interpreted answer \
+     counts and work counters bit-for-bit: hash partitioning on the first join variable commutes \
      with the join, so the sharded tier parallelizes without changing \
      what is measured"
 

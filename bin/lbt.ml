@@ -656,13 +656,6 @@ let query_cmd =
     in
     Arg.(value & opt int 1 & info [ "pool" ] ~docv:"N" ~doc)
   in
-  let no_compile_arg =
-    let doc =
-      "Run WCOJ engines interpreted instead of through the compiled \
-       plan tier (answers and counters are identical either way)."
-    in
-    Arg.(value & flag & info [ "no-compile" ] ~doc)
-  in
   let gc_stats_arg =
     let doc =
       "Report the GC cost of the run: Gc.quick_stat deltas (minor/major \
@@ -681,7 +674,7 @@ let query_cmd =
       value & opt (some string) None & info [ "remote" ] ~docv:"HOST:PORT" ~doc)
   in
   let run qtext loads engine count_only limit timeout_ms max_ticks shards
-      pool_n no_compile gc_stats remote json =
+      pool_n gc_stats remote json =
     let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("error: " ^ s)) fmt in
     (* Shared tail: render one query reply and pick the exit code. *)
     let emit_reply reply report_gc =
@@ -850,7 +843,6 @@ let query_cmd =
               Lb_service.Server.default_config with
               pool;
               shards;
-              compile = not no_compile;
             }
           in
           let server = Lb_service.Server.create ~config () in
@@ -964,8 +956,7 @@ let query_cmd =
     (Cmd.info "query" ~doc)
     Term.(
       const run $ query_arg $ load_arg $ engine_arg $ count_arg $ limit_arg
-      $ timeout_arg $ max_ticks_arg $ shards_arg $ pool_arg $ no_compile_arg
-      $ gc_stats_arg $ remote_arg $ json_flag)
+      $ timeout_arg $ max_ticks_arg $ shards_arg $ pool_arg $ gc_stats_arg $ remote_arg $ json_flag)
 
 (* --- explain: the plan (and its compiled loop nest) without running --- *)
 
@@ -978,16 +969,9 @@ let explain_cmd =
     in
     Arg.(value & opt_all string [] & info [ "load" ] ~docv:"FILE" ~doc)
   in
-  let no_compile_arg =
-    let doc = "Plan without lowering to the compiled tier." in
-    Arg.(value & flag & info [ "no-compile" ] ~doc)
-  in
-  let run qtext loads no_compile json =
+  let run qtext loads json =
     let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("error: " ^ s)) fmt in
-    let config =
-      { Lb_service.Server.default_config with compile = not no_compile }
-    in
-    let server = Lb_service.Server.create ~config () in
+    let server = Lb_service.Server.create () in
     let replay_file file =
       let ic = if file = "-" then stdin else open_in file in
       Fun.protect ~finally:(fun () -> if file <> "-" then close_in ic)
@@ -1076,7 +1060,7 @@ let explain_cmd =
   in
   Cmd.v
     (Cmd.info "explain" ~doc)
-    Term.(const run $ query_arg $ load_arg $ no_compile_arg $ json_flag)
+    Term.(const run $ query_arg $ load_arg $ json_flag)
 
 (* --- serve: the long-lived query service --- *)
 
@@ -1137,13 +1121,6 @@ let serve_cmd =
     in
     Arg.(value & opt int 1 & info [ "shards" ] ~docv:"K" ~doc)
   in
-  let no_compile_arg =
-    let doc =
-      "Run WCOJ engines interpreted instead of through the compiled \
-       plan tier."
-    in
-    Arg.(value & flag & info [ "no-compile" ] ~doc)
-  in
   let no_ivm_arg =
     let doc =
       "Invalidate cached results on writes instead of maintaining them \
@@ -1201,7 +1178,7 @@ let serve_cmd =
       value & opt (some string) None & info [ "workers" ] ~docv:"ADDRS" ~doc)
   in
   let run port host max_pending plan_cache result_cache timeout_ms max_ticks
-      max_rows pool_n shards no_compile no_ivm data_dir snapshot_every
+      max_rows pool_n shards no_ivm data_dir snapshot_every
       snapshot_bytes stats_json workers =
     let parse_workers s =
       let parts = String.split_on_char ',' s in
@@ -1259,7 +1236,6 @@ let serve_cmd =
               max_rows;
               pool;
               shards;
-              compile = not no_compile;
               ivm = not no_ivm;
               data_dir;
               snapshot_every;
@@ -1297,7 +1273,7 @@ let serve_cmd =
     Term.(
       const run $ port_arg $ host_arg $ max_pending_arg $ plan_cache_arg
       $ result_cache_arg $ timeout_arg $ max_ticks_arg $ max_rows_arg
-      $ pool_arg $ shards_arg $ no_compile_arg $ no_ivm_arg $ data_dir_arg
+      $ pool_arg $ shards_arg $ no_ivm_arg $ data_dir_arg
       $ snapshot_every_arg $ snapshot_bytes_arg $ stats_json_arg
       $ workers_arg)
 

@@ -1,11 +1,15 @@
 (* The plan compilation tier: lower a WCOJ plan to a monomorphic loop
-   nest over flat int arrays.
+   nest over flat int arrays.  This is the one production WCOJ driver:
+   sequential, Domain-parallel, sharded, and the distributed slices a
+   worker runs all go through it.  Generic Join and Leapfrog differ only
+   in how one level is intersected (the min-leader probe vs the
+   agreement loop below); everything around that is shared.
 
-   The interpreted engines (Generic_join, Leapfrog) already precompute
-   their participant structure per execution, but they recompute it on
-   every call, thread options through the hot path, and pay a bounds
-   check on every column access.  This module splits the work into the
-   two halves the LogicBlox lineage (Veldhuizen) compiles between:
+   The interpreted engines (Generic_join, Leapfrog) are the sequential
+   reference: they recompute their participant structure on every call,
+   thread options through the hot path, and pay a bounds check on every
+   column access.  This module splits the work into the two halves the
+   LogicBlox lineage (Veldhuizen) compiles between:
 
    - [lower] runs once per plan and produces a schema-level IR: for
      each variable of the global order, the flat list of (atom, trie
@@ -19,12 +23,14 @@
      no closures, no option matches per column access, no Trie module
      indirection.
 
-   Contract: answers, work counters (intersections / seeks / emitted)
-   and budget-tick placement are bit-identical to the interpreted
-   engines on every driver - sequential, Domain-parallel and sharded -
-   including the partial counters left behind when a budget fires
-   mid-query.  The differential suite in test/test_compile.ml holds
-   this line; any divergence is a bug in this file.
+   Contract: answers and work counters (intersections / seeks /
+   emitted) equal the sequential interpreted engines' on every driver -
+   sequential, Domain-parallel, sharded, and summed over a cover of
+   distributed slices - and the sequential driver also matches their
+   budget-tick placement, so the partial counters left behind when a
+   budget fires mid-query agree too.  The differential suite in
+   test/test_compile.ml holds this line; any divergence is a bug in
+   this file.
 
    Depth resolution without tries: an atom's trie levels are its
    distinct attributes (first-appearance order, as Query.bind_atom
@@ -248,8 +254,7 @@ let mach_of_tries ?budget ir tries =
   }
 
 (* One logical trie build per execution (the unit the server's batch
-   scheduler asserts sharing on), pool-parallel like the interpreted
-   [make_ctx]. *)
+   scheduler asserts sharing on); the per-atom builds run on the pool. *)
 let make_mach ?pool ?budget ?(metrics = Metrics.disabled) ir db (q : Query.t) =
   Metrics.incr metrics (trie_builds_name ir.engine);
   let atoms = Array.of_list q in
@@ -270,7 +275,7 @@ let has_empty_atom m =
   Array.iter (fun t -> if Trie.row_count t = 0 then e := true) m.tries;
   !e
 
-(* --- per-domain workspace (same layout as the engines') --- *)
+(* --- per-domain workspace --- *)
 
 type ws = {
   stack : int array array;
@@ -696,8 +701,15 @@ let run_seq m c f =
         f ws.assignment)
   end
 
-(* --- Domain-parallel driver (same task scheme and counter-merge
-   order as the engines') --- *)
+(* --- Domain-parallel driver ---
+
+   The first variable's candidates are materialized as tasks (heavy
+   candidates are split one level deeper to defuse skew), chunks of
+   tasks are claimed dynamically by the pool's domains, and per-chunk
+   counters and accumulators are merged at the end - so pooled runs
+   produce the sequential answers and counter totals.  The budget is
+   shared across domains (cooperative, so tick totals may undercount
+   under races; exhaustion still fires promptly on every domain). *)
 
 type task = { plen : int; v0 : int; v1 : int; st : int array }
 
@@ -715,10 +727,9 @@ let push_task ws tasks n plen =
     :: !tasks
 
 (* Heavy first values (smallest level-1 participant range above the
-   threshold) are expanded one level deeper at discovery time - the
-   interleaving matters, because budget ticks of the level-1 expansion
-   must land between the level-0 candidates exactly as they do in the
-   interpreted gen_tasks. *)
+   threshold) are expanded one level deeper at discovery time, so the
+   budget ticks of the level-1 expansion land between the level-0
+   candidates in enumeration order. *)
 let heavy_at_1 m ws =
   m.nvars >= 2
   &&
@@ -749,6 +760,17 @@ let run_task m ws ck t ~consume acc =
       ck.emitted <- ck.emitted + 1;
       consume acc ws.assignment)
 
+(* Merge per-chunk counters into [c] once the chunks are done - also
+   when a budget cuts the run short, so every chunk's partial work is
+   attributed, as in the sequential driver. *)
+let merging c ctrs run =
+  Fun.protect run ~finally:(fun () ->
+      Array.iter
+        (fun ck ->
+          c.work <- c.work + ck.work;
+          c.emitted <- c.emitted + ck.emitted)
+        ctrs)
+
 let run_par m pool c ~make_acc ~consume =
   let gws = make_ws m in
   init_root m gws;
@@ -757,18 +779,14 @@ let run_par m pool c ~make_acc ~consume =
   let nchunks = (ntasks + per_chunk - 1) / per_chunk in
   let accs = Array.init nchunks (fun _ -> make_acc ()) in
   let ctrs = Array.init nchunks (fun _ -> fresh_counters ()) in
-  Pool.run pool ~chunks:nchunks (fun k ->
-      let ws = make_ws m in
-      let ck = ctrs.(k) and acc = accs.(k) in
-      let t1 = min ntasks ((k + 1) * per_chunk) in
-      for ti = k * per_chunk to t1 - 1 do
-        run_task m ws ck tasks.(ti) ~consume acc
-      done);
-  Array.iter
-    (fun ck ->
-      c.work <- c.work + ck.work;
-      c.emitted <- c.emitted + ck.emitted)
-    ctrs;
+  merging c ctrs (fun () ->
+      Pool.run pool ~chunks:nchunks (fun k ->
+          let ws = make_ws m in
+          let ck = ctrs.(k) and acc = accs.(k) in
+          let t1 = min ntasks ((k + 1) * per_chunk) in
+          for ti = k * per_chunk to t1 - 1 do
+            run_task m ws ck tasks.(ti) ~consume acc
+          done));
   accs
 
 let pool_applies m = function
@@ -825,16 +843,33 @@ let answer ?ctx ir db q =
 
 (* --- sharded driver ---
 
-   The structure replicates the engines' sharded tier: per-shard
-   machines over a Shard.view, the level-0 loop emulated over merged
-   per-shard key streams (every level-0 binding has trie depth 0, since
-   order.(0) holds the smallest order position), surviving candidates
-   routed to shard [Shard.shard_of v] whose subtree under v is
-   content-identical to the unsharded trie's.  Counter increments and
-   budget ticks land at exactly the interpreted points. *)
+   Execution over a Shard.view: shard [s] sees its own tries for the
+   partitioned atoms and a shared trie for the whole ones.  The level-0
+   loop cannot run inside any single shard - the leader choice, the
+   probe outcomes and the early abort all depend on the full key
+   streams - so it is emulated over Shard.Stream views that merge the k
+   shard columns of each participant (every level-0 binding has trie
+   depth 0, since order.(0) holds the smallest order position).  Every
+   surviving candidate x=v is then routed to shard [shard_of v], where
+   the subtree under v is content-identical to the unsharded trie's
+   (hash partitioning keeps all rows with x=v together and the trie
+   sort is deterministic), so per-candidate work and counters replicate
+   the unsharded run. *)
 
-let make_shard_machs ?pool ?budget ~metrics ir (view : Shard.view) =
-  Metrics.incr metrics (trie_builds_name ir.engine);
+(* A distributed participant executes only a subset of the shards:
+   [owned s] says whether this process runs (and counts) shard [s]'s
+   deep-level work, and exactly one participant is the [lead], which
+   accounts the level-0 stream emulation and the logical trie build.
+   Summing the counters reported by a full cover of participants (each
+   shard owned exactly once, one lead) reproduces the single-process
+   sharded totals bit for bit.  [all_shards] is the single-process
+   case: own everything, lead. *)
+type subset = { owned : int -> bool; lead : bool }
+
+let all_shards = { owned = (fun _ -> true); lead = true }
+
+let make_shard_machs ?pool ?budget ~metrics ~lead ir (view : Shard.view) =
+  if lead then Metrics.incr metrics (trie_builds_name ir.engine);
   let k = view.Shard.k in
   let parts = view.Shard.parts in
   let natoms = Array.length parts in
@@ -880,8 +915,7 @@ let sharded_empty machs =
   !e
 
 (* Bind candidate v at level 0 of shard s's machine and emit its task,
-   expanding heavy candidates one level deeper (cf. the engines'
-   gen_sharded_tasks). *)
+   expanding heavy candidates one level deeper. *)
 let route_candidate machs wss tasks counts c v =
   let k = Array.length machs in
   let s = Shard.shard_of ~k v in
@@ -917,8 +951,15 @@ let route_candidate machs wss tasks counts c v =
   else push 1
 
 (* Level-0 Generic Join over the merged streams: leader by smallest
-   total, one work increment and tick per enumerated leader key. *)
-let gen_sharded_tasks_gj machs c =
+   total, one work increment and tick per enumerated leader key.  Only
+   the lead counts and ticks level 0 ([c0]); the others replay the
+   identical stream walk against a scratch counter, since probe
+   outcomes and the early abort decide which candidates exist at all.
+   Candidates in shards this participant does not own are left to
+   their owner. *)
+let gen_sharded_tasks_gj machs c ~sub =
+  let c0 = if sub.lead then c else fresh_counters () in
+  let bud = if sub.lead then machs.(0).bud else None in
   let k = Array.length machs in
   let m0 = machs.(0) in
   let base = m0.off.(0) in
@@ -947,8 +988,8 @@ let gen_sharded_tasks_gj machs c =
   let dead = ref false in
   while (not !dead) && not (Shard.Stream.exhausted ls) do
     let v = Shard.Stream.cur ls in
-    c.work <- c.work + 1;
-    (match m0.bud with Some b -> Budget.tick b | None -> ());
+    c0.work <- c0.work + 1;
+    (match bud with Some b -> Budget.tick b | None -> ());
     let ok = ref true in
     let j = ref 0 in
     while !ok && !j < np do
@@ -963,14 +1004,19 @@ let gen_sharded_tasks_gj machs c =
       end;
       incr j
     done;
-    if !ok then route_candidate machs wss tasks counts c v;
+    if !ok && sub.owned (Shard.shard_of ~k v) then
+      route_candidate machs wss tasks counts c v;
     Shard.Stream.advance_gt ls v
   done;
   (Array.map (fun l -> Array.of_list (List.rev l)) tasks, counts)
 
 (* Level-0 leapfrog over the merged streams: tick per agreed key, work
-   increment and tick per lagging seek with the in-loop fin guard. *)
-let gen_sharded_tasks_lf machs c =
+   increment and tick per lagging seek with the in-loop fin guard;
+   level-0 accounting belongs to the lead, as in the Generic Join
+   walk. *)
+let gen_sharded_tasks_lf machs c ~sub =
+  let c0 = if sub.lead then c else fresh_counters () in
+  let bud = if sub.lead then machs.(0).bud else None in
   let k = Array.length machs in
   let m0 = machs.(0) in
   let base = m0.off.(0) in
@@ -999,8 +1045,9 @@ let gen_sharded_tasks_lf machs c =
     done;
     if !kmin = !kmax then begin
       let v = !kmin in
-      (match m0.bud with Some b -> Budget.tick b | None -> ());
-      route_candidate machs wss tasks counts c v;
+      (match bud with Some b -> Budget.tick b | None -> ());
+      if sub.owned (Shard.shard_of ~k v) then
+        route_candidate machs wss tasks counts c v;
       Array.iter
         (fun st ->
           Shard.Stream.advance_gt st v;
@@ -1011,8 +1058,8 @@ let gen_sharded_tasks_lf machs c =
       let mx = !kmax in
       for j = 0 to np - 1 do
         if (not !fin) && Shard.Stream.cur streams.(j) < mx then begin
-          c.work <- c.work + 1;
-          (match m0.bud with Some b -> Budget.tick b | None -> ());
+          c0.work <- c0.work + 1;
+          (match bud with Some b -> Budget.tick b | None -> ());
           Shard.Stream.seek_geq streams.(j) mx;
           if Shard.Stream.exhausted streams.(j) then fin := true
         end
@@ -1021,13 +1068,15 @@ let gen_sharded_tasks_lf machs c =
   done;
   (Array.map (fun l -> Array.of_list (List.rev l)) tasks, counts)
 
-let gen_sharded_tasks machs c =
+let gen_sharded_tasks machs c ~sub =
   match machs.(0).eng with
-  | Generic -> gen_sharded_tasks_gj machs c
-  | Leapfrog -> gen_sharded_tasks_lf machs c
+  | Generic -> gen_sharded_tasks_gj machs c ~sub
+  | Leapfrog -> gen_sharded_tasks_lf machs c ~sub
 
-(* 2x-mean skew split into execution units, merged in (shard, offset)
-   order - identical to the engines'. *)
+(* Skew fallback: shard task lists exceeding 2x the mean are halved
+   recursively into execution units, so one hot shard cannot serialize
+   the pool.  Units are ordered by (shard, offset); merging per-unit
+   counters in that order keeps totals deterministic. *)
 type exec_unit = { shard : int; t0 : int; t1 : int }
 
 let units_of counts =
@@ -1063,21 +1112,17 @@ let run_units machs (tasks : task array array) units pool c ~make_acc ~consume
       run_task m ws ck tasks.(s).(ti) ~consume acc
     done
   in
-  (match pool with
-  | Some p when Pool.size p > 1 && nu > 1 -> Pool.run p ~chunks:nu body
-  | _ ->
-      for u = 0 to nu - 1 do
-        body u
-      done);
-  Array.iter
-    (fun ck ->
-      c.work <- c.work + ck.work;
-      c.emitted <- c.emitted + ck.emitted)
-    ctrs;
+  merging c ctrs (fun () ->
+      match pool with
+      | Some p when Pool.size p > 1 && nu > 1 -> Pool.run p ~chunks:nu body
+      | _ ->
+          for u = 0 to nu - 1 do
+            body u
+          done);
   accs
 
-let sharded_drive ?counters ?ctx ?partition ?view ~shards ir db q ~make_acc
-    ~consume =
+let sharded_drive ?counters ?ctx ?partition ?view ?(subset = all_shards)
+    ~shards ir db q ~make_acc ~consume =
   if shards < 1 then invalid_arg "Compile.run_sharded: shards < 1";
   let ex = Exec.resolve ?ctx () in
   let c = match counters with Some c -> c | None -> fresh_counters () in
@@ -1103,27 +1148,27 @@ let sharded_drive ?counters ?ctx ?partition ?view ~shards ir db q ~make_acc
     in
     let machs =
       make_shard_machs ?pool:ex.Exec.pool ?budget:ex.Exec.budget
-        ~metrics:ex.Exec.metrics ir view
+        ~metrics:ex.Exec.metrics ~lead:subset.lead ir view
     in
     if sharded_empty machs then [| make_acc () |]
     else begin
-      let tasks, counts = gen_sharded_tasks machs c in
+      let tasks, counts = gen_sharded_tasks machs c ~sub:subset in
       let units = units_of counts in
       run_units machs tasks units ex.Exec.pool c ~make_acc ~consume
     end
   end
 
-let count_sharded ?counters ?ctx ?partition ?view ~shards ir db q =
+let count_sharded ?counters ?ctx ?partition ?view ?subset ~shards ir db q =
   let accs =
-    sharded_drive ?counters ?ctx ?partition ?view ~shards ir db q
+    sharded_drive ?counters ?ctx ?partition ?view ?subset ~shards ir db q
       ~make_acc:(fun () -> ref 0)
       ~consume:(fun r _ -> incr r)
   in
   Array.fold_left (fun acc r -> acc + !r) 0 accs
 
-let run_sharded ?counters ?ctx ?partition ?view ~shards ir db q =
+let run_sharded ?counters ?ctx ?partition ?view ?subset ~shards ir db q =
   let accs =
-    sharded_drive ?counters ?ctx ?partition ?view ~shards ir db q
+    sharded_drive ?counters ?ctx ?partition ?view ?subset ~shards ir db q
       ~make_acc:(fun () -> ref [])
       ~consume:(fun r a -> r := Array.copy a :: !r)
   in

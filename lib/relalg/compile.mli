@@ -1,5 +1,9 @@
 (** The plan compilation tier: lower a WCOJ plan to a monomorphic loop
-    nest over flat int arrays, cached by plan signature.
+    nest over flat int arrays, cached by plan signature.  It is the one
+    production WCOJ driver - sequential, Domain-parallel, sharded, and
+    the distributed slices workers execute ({!subset}) - with two
+    intersection kernels: Generic Join's min-leader probe and
+    Leapfrog's agreement loop.
 
     A compiled plan ({!ir}) is the schema-level half of a
     worst-case-optimal join: for each variable of the global order, the
@@ -12,13 +16,14 @@
     [Array.unsafe_get] on the hot path, no closures or option matches
     per column access.
 
-    Contract: answers, work counters and budget-tick placement are
-    bit-identical to the interpreted {!Generic_join} / {!Leapfrog}
-    paths on every driver (sequential, Domain-parallel, sharded),
-    including the partial counters a mid-query budget exhaustion
-    leaves behind.  The compiled paths report to the same metric names
-    ([generic_join.*] / [leapfrog.*]), so served counter streams are
-    indistinguishable from interpreted runs. *)
+    Contract: the interpreted {!Generic_join} / {!Leapfrog} engines are
+    the sequential reference.  Answers and work-counter totals equal
+    theirs on every driver (sequential, Domain-parallel, sharded, and
+    summed over a cover of distributed slices); the sequential driver
+    also matches their budget-tick placement, including the partial
+    counters a mid-query budget exhaustion leaves behind.  Counters
+    report to the reference's metric names ([generic_join.*] /
+    [leapfrog.*]). *)
 
 type engine = Generic | Leapfrog
 
@@ -76,25 +81,54 @@ val count_bounded :
 (** Materialize the answer (schema = the IR's variable order). *)
 val answer : ?ctx:Lb_util.Exec.t -> ir -> Database.t -> Query.t -> Relation.t
 
-(** Sharded execution over a {!Shard.view}, one resolved machine per
-    shard; same composition and bit-identity guarantees as
-    {!Generic_join.run_sharded} / {!Leapfrog.run_sharded}. *)
+(** {2 Sharded execution}
+
+    The sharded driver hash-partitions every atom containing the first
+    variable of the order into [shards] co-partitioned pieces
+    ({!Shard.view}) and runs one resolved machine per shard, fanned out
+    on [ctx]'s pool with a 2x-mean skew split.  The level-0 loop is
+    emulated over the merged per-shard key streams, so answers and
+    counter totals equal the unsharded run's.  [?partition] (see
+    {!Shard.view}'s [?hook]) lets a catalog supply warm raw-relation
+    partitions; [?view] supplies a prebuilt view outright (its [k] must
+    equal [shards] and its attribute the first variable of the
+    order). *)
+
+(** Which slice of the sharded run this process executes.  [owned s]
+    selects the shards whose deep-level work (and counters, emitted
+    rows, heavy-split expansion) this participant performs; [lead]
+    marks the one participant that accounts the shared level-0 stream
+    emulation, its budget ticks and the logical [*.trie_builds] tick.
+    Over a cover of participants - every shard owned exactly once,
+    exactly one lead - the reported counters sum to the
+    single-process sharded totals bit for bit.  The default,
+    {!all_shards}, owns everything and leads: the single-process case.
+    Ignored when the variable order is empty (the unsharded fallback
+    runs whole). *)
+type subset = { owned : int -> bool; lead : bool }
+
+val all_shards : subset
+
+(** Materialize the answer through the sharded driver. *)
 val run_sharded :
   ?counters:counters ->
   ?ctx:Lb_util.Exec.t ->
   ?partition:(Query.atom -> col:int -> Relation.t array option) ->
   ?view:Shard.view ->
+  ?subset:subset ->
   shards:int ->
   ir ->
   Database.t ->
   Query.t ->
   Relation.t
 
+(** Count the answers through the sharded driver. *)
 val count_sharded :
   ?counters:counters ->
   ?ctx:Lb_util.Exec.t ->
   ?partition:(Query.atom -> col:int -> Relation.t array option) ->
   ?view:Shard.view ->
+  ?subset:subset ->
   shards:int ->
   ir ->
   Database.t ->

@@ -19,14 +19,10 @@
      total probe cost per level is amortized linear in the ranges
      scanned, and an exhausted cursor aborts the whole level early.
 
-   An optional [?pool] (Lb_util.Pool) runs [count] and [answer] in
-   parallel: the first variable's candidates are materialized as tasks
-   (heavy candidates are split one level deeper to defuse skew), chunks
-   of tasks are claimed dynamically by the pool's domains, and per-chunk
-   counters and accumulators are merged at the end - so parallel runs
-   produce identical answers and counter totals to sequential ones. *)
+   This engine is sequential: it is the reference the compiled tier
+   (Compile) is checked against.  The Domain-parallel and sharded
+   drivers live in Compile only. *)
 
-module Pool = Lb_util.Pool
 module Budget = Lb_util.Budget
 module Metrics = Lb_util.Metrics
 module Exec = Lb_util.Exec
@@ -47,17 +43,16 @@ type ctx = {
   pcols : Column.t array array;
       (* pcols.(l).(j): the trie column of participants.(l).(j) at the
          depth it has reached when level l is processed *)
-  bud : Budget.t option;
-      (* ticked once per enumerated leader key; shared across domains
-         in parallel runs (cooperative, so tick totals may undercount
-         under races - exhaustion still fires promptly on every
-         domain) *)
+  bud : Budget.t option; (* ticked once per enumerated leader key *)
 }
 
-(* Schema-driven part of the context; shared by the unsharded builder
-   and the per-shard builders (a shard's tries expose the same schema,
-   so the participant structure is identical). *)
-let ctx_of_tries ?budget ~order tries =
+let make_ctx ?budget ?(metrics = Metrics.disabled) ~order db (q : Query.t) =
+  (* one logical build per execution, whatever the atom count - the unit
+     the server's batch scheduler asserts sharing on *)
+  Metrics.incr metrics "generic_join.trie_builds";
+  let tries =
+    Array.map (fun a -> Trie.build ~order (Query.bind_atom db a)) (Array.of_list q)
+  in
   let natoms = Array.length tries in
   let nvars = Array.length order in
   let participants = Array.make nvars [||] in
@@ -77,30 +72,12 @@ let ctx_of_tries ?budget ~order tries =
   done;
   { tries; nvars; natoms; participants; pcols; bud = budget }
 
-let make_ctx ?pool ?budget ?(metrics = Metrics.disabled) ~order db
-    (q : Query.t) =
-  (* one logical build per execution, whatever the atom count - the unit
-     the server's batch scheduler asserts sharing on *)
-  Metrics.incr metrics "generic_join.trie_builds";
-  let atoms = Array.of_list q in
-  let natoms = Array.length atoms in
-  let build i = Trie.build ~order (Query.bind_atom db atoms.(i)) in
-  let tries =
-    match pool with
-    | Some p when Pool.size p > 1 && natoms > 1 ->
-        let out = Array.make natoms None in
-        Pool.run p ~chunks:natoms (fun i -> out.(i) <- Some (build i));
-        Array.map Option.get out
-    | _ -> Array.init natoms build
-  in
-  ctx_of_tries ?budget ~order tries
-
 let has_empty_atom ctx =
   let e = ref false in
   Array.iter (fun t -> if Trie.row_count t = 0 then e := true) ctx.tries;
   !e
 
-(* --- per-domain workspace --- *)
+(* --- workspace --- *)
 
 type ws = {
   stack : int array array; (* stack.(level): lo, hi per atom, flat *)
@@ -124,11 +101,11 @@ let init_root ctx ws =
   done
 
 (* Enumerate all extensions of the current partial assignment from
-   [level] up to [stop]; [on_leaf] fires with [ws] holding a complete
-   prefix of length [stop].  [c.intersections] counts enumerated leader
-   keys, as in the textbook cost accounting. *)
-let rec enumerate ctx ws c ~level ~stop on_leaf =
-  if level >= stop then on_leaf ()
+   [level]; [on_leaf] fires with [ws] holding a complete assignment.
+   [c.intersections] counts enumerated leader keys, as in the textbook
+   cost accounting. *)
+let rec enumerate ctx ws c ~level on_leaf =
+  if level >= ctx.nvars then on_leaf ()
   else begin
     let ps = ctx.participants.(level) in
     let np = Array.length ps in
@@ -189,19 +166,17 @@ let rec enumerate ctx ws c ~level ~stop on_leaf =
         st'.(2 * leader) <- !pos;
         st'.(2 * leader + 1) <- e;
         ws.assignment.(level) <- v;
-        enumerate ctx ws c ~level:(level + 1) ~stop on_leaf
+        enumerate ctx ws c ~level:(level + 1) on_leaf
       end;
       pos := e
     done
   end
 
-(* --- sequential driver --- *)
-
 let run_seq ctx c f =
   if not (has_empty_atom ctx) then begin
     let ws = make_ws ctx in
     init_root ctx ws;
-    enumerate ctx ws c ~level:0 ~stop:ctx.nvars (fun () ->
+    enumerate ctx ws c ~level:0 (fun () ->
         c.emitted <- c.emitted + 1;
         f ws.assignment)
   end
@@ -222,444 +197,30 @@ let iter ?order ?counters ?ctx db (q : Query.t) f =
   let ex = Exec.resolve ?ctx () in
   let order = match order with Some o -> o | None -> Query.attributes q in
   let c = match counters with Some c -> c | None -> fresh_counters () in
-  with_metrics ex.Exec.metrics c (fun () ->
-      run_seq
-        (make_ctx ?budget:ex.Exec.budget ~metrics:ex.Exec.metrics ~order db q)
-        c f)
-
-(* --- parallel driver --- *)
-
-(* A task is a fully-probed assignment prefix (1 or 2 variables) plus
-   the per-atom ranges after binding it. *)
-type task = { plen : int; v0 : int; v1 : int; st : int array }
-
-(* Candidates whose smallest participant range at the next level exceeds
-   this are expanded one level deeper at task-generation time, so one
-   heavy first value (skew) cannot serialize the run. *)
-let split_threshold = 64
-
-let gen_tasks ctx ws c =
-  let tasks = ref [] and n = ref 0 in
-  let push plen =
-    incr n;
-    tasks :=
-      {
-        plen;
-        v0 = ws.assignment.(0);
-        v1 = (if plen > 1 then ws.assignment.(1) else 0);
-        st = Array.copy ws.stack.(plen);
-      }
-      :: !tasks
-  in
-  enumerate ctx ws c ~level:0 ~stop:1 (fun () ->
-      let heavy =
-        ctx.nvars >= 2
-        &&
-        let ps = ctx.participants.(1) in
-        let st = ws.stack.(1) in
-        let w = ref max_int in
-        Array.iter
-          (fun i ->
-            let s = st.((2 * i) + 1) - st.(2 * i) in
-            if s < !w then w := s)
-          ps;
-        !w > split_threshold
-      in
-      if heavy then enumerate ctx ws c ~level:1 ~stop:2 (fun () -> push 2)
-      else push 1);
-  (!n, Array.of_list (List.rev !tasks))
-
-(* Run the whole join on [pool]; per-chunk accumulators are created with
-   [make_acc] and filled via [consume acc assignment]; returns them. *)
-let run_par ctx pool c ~make_acc ~consume =
-  let gws = make_ws ctx in
-  init_root ctx gws;
-  let ntasks, tasks = gen_tasks ctx gws c in
-  let per_chunk = max 1 (ntasks / (Pool.size pool * 8)) in
-  let nchunks = (ntasks + per_chunk - 1) / per_chunk in
-  let accs = Array.init nchunks (fun _ -> make_acc ()) in
-  let ctrs = Array.init nchunks (fun _ -> fresh_counters ()) in
-  Pool.run pool ~chunks:nchunks (fun k ->
-      let ws = make_ws ctx in
-      let ck = ctrs.(k) and acc = accs.(k) in
-      let t1 = min ntasks ((k + 1) * per_chunk) in
-      for ti = k * per_chunk to t1 - 1 do
-        let t = tasks.(ti) in
-        ws.assignment.(0) <- t.v0;
-        if t.plen > 1 then ws.assignment.(1) <- t.v1;
-        Array.blit t.st 0 ws.stack.(t.plen) 0 (2 * ctx.natoms);
-        enumerate ctx ws ck ~level:t.plen ~stop:ctx.nvars (fun () ->
-            ck.emitted <- ck.emitted + 1;
-            consume acc ws.assignment)
-      done);
-  Array.iter
-    (fun ck ->
-      c.intersections <- c.intersections + ck.intersections;
-      c.emitted <- c.emitted + ck.emitted)
-    ctrs;
-  accs
-
-(* Parallel execution pays off only past the first variable; fall back
-   to the sequential engine for trivial shapes or a size-1 pool. *)
-let pool_applies ctx = function
-  | Some p when Pool.size p > 1 && ctx.nvars >= 2 -> Some p
-  | _ -> None
+  let cx = make_ctx ?budget:ex.Exec.budget ~metrics:ex.Exec.metrics ~order db q in
+  with_metrics ex.Exec.metrics c (fun () -> run_seq cx c f)
 
 let count ?order ?counters ?ctx db q =
-  let ex = Exec.resolve ?ctx () in
-  let order = match order with Some o -> o | None -> Query.attributes q in
-  let c = match counters with Some c -> c | None -> fresh_counters () in
-  let ctx =
-    make_ctx ?pool:ex.Exec.pool ?budget:ex.Exec.budget ~metrics:ex.Exec.metrics
-      ~order db q
-  in
-  with_metrics ex.Exec.metrics c @@ fun () ->
-  match pool_applies ctx ex.Exec.pool with
-  | Some p when not (has_empty_atom ctx) ->
-      let accs =
-        run_par ctx p c ~make_acc:(fun () -> ref 0) ~consume:(fun r _ -> incr r)
-      in
-      Array.fold_left (fun acc r -> acc + !r) 0 accs
-  | _ ->
-      let n = ref 0 in
-      run_seq ctx c (fun _ -> incr n);
-      !n
+  let n = ref 0 in
+  iter ?order ?counters ?ctx db q (fun _ -> incr n);
+  !n
 
 let count_bounded ?order ?counters ?ctx db q =
   Budget.protect (fun () -> count ?order ?counters ?ctx db q)
 
 let answer ?order ?ctx db q =
-  let ex = Exec.resolve ?ctx () in
   let order = match order with Some o -> o | None -> Query.attributes q in
-  let c = fresh_counters () in
-  let ctx =
-    make_ctx ?pool:ex.Exec.pool ?budget:ex.Exec.budget ~metrics:ex.Exec.metrics
-      ~order db q
-  in
-  let rows =
-    with_metrics ex.Exec.metrics c @@ fun () ->
-    match pool_applies ctx ex.Exec.pool with
-    | Some p when not (has_empty_atom ctx) ->
-        let accs =
-          run_par ctx p c
-            ~make_acc:(fun () -> ref [])
-            ~consume:(fun r a -> r := Array.copy a :: !r)
-        in
-        Array.fold_left (fun acc r -> List.rev_append !r acc) [] accs
-    | _ ->
-        let acc = ref [] in
-        run_seq ctx c (fun a -> acc := Array.copy a :: !acc);
-        !acc
-  in
-  Relation.make order rows
+  let acc = ref [] in
+  iter ~order ?ctx db q (fun a -> acc := Array.copy a :: !acc);
+  Relation.make order !acc
 
 exception Found
 
 let exists ?order ?ctx db q =
   let ex = Exec.resolve ?ctx () in
   let order = match order with Some o -> o | None -> Query.attributes q in
-  let c = fresh_counters () in
-  let ctx = make_ctx ?budget:ex.Exec.budget ~order db q in
+  let cx = make_ctx ?budget:ex.Exec.budget ~order db q in
   try
-    run_seq ctx c (fun _ -> raise Found);
+    run_seq cx (fresh_counters ()) (fun _ -> raise Found);
     false
   with Found -> true
-
-(* --- sharded driver --- *)
-
-(* Execution over a Shard.view: shard [s] sees its own tries for the
-   partitioned atoms and a shared trie for the whole ones.  The level-0
-   loop cannot run inside any single shard - the leader choice, the
-   probe outcomes and the early abort all depend on the full key
-   streams - so it is emulated over Shard.Stream views that merge the k
-   shard columns of each participant.  Every surviving candidate x=v is
-   then routed to shard [shard_of v], where the subtree under v is
-   content-identical to the unsharded trie's (hash partitioning keeps
-   all rows with x=v together and the trie sort is deterministic), so
-   per-candidate work, counters and budget ticks replicate the
-   unsharded run bit-for-bit. *)
-
-(* A distributed participant executes only a subset of the shards:
-   [owned s] says whether this process runs (and counts) shard [s]'s
-   deep-level work, and exactly one participant is the [lead], which
-   accounts the level-0 stream emulation and the logical trie build.
-   Summing the counters reported by a full cover of participants (each
-   shard owned exactly once, one lead) reproduces the single-process
-   sharded totals bit for bit.  [all_shards] is the single-process
-   case: own everything, lead. *)
-type subset = { owned : int -> bool; lead : bool }
-
-let all_shards = { owned = (fun _ -> true); lead = true }
-
-let make_shard_ctxs ?pool ?budget ?(lead = true) ~metrics ~order
-    (view : Shard.view) =
-  if lead then Metrics.incr metrics "generic_join.trie_builds";
-  let k = view.Shard.k in
-  let parts = view.Shard.parts in
-  let natoms = Array.length parts in
-  let out = Array.init natoms (fun _ -> Array.make k None) in
-  let jobs = ref [] in
-  Array.iteri
-    (fun i p ->
-      match p with
-      | Shard.Whole _ -> jobs := (i, -1) :: !jobs
-      | Shard.Parts _ ->
-          for s = k - 1 downto 0 do
-            jobs := (i, s) :: !jobs
-          done)
-    parts;
-  let jobs = Array.of_list !jobs in
-  let build (i, s) =
-    match parts.(i) with
-    | Shard.Whole r ->
-        let t = Trie.build ~order r in
-        for s = 0 to k - 1 do
-          out.(i).(s) <- Some t
-        done
-    | Shard.Parts a -> out.(i).(s) <- Some (Trie.build ~order a.(s))
-  in
-  (match pool with
-  | Some p when Pool.size p > 1 && Array.length jobs > 1 ->
-      Pool.run p ~chunks:(Array.length jobs) (fun j -> build jobs.(j))
-  | _ -> Array.iter build jobs);
-  Array.init k (fun s ->
-      ctx_of_tries ?budget ~order
-        (Array.init natoms (fun i -> Option.get out.(i).(s))))
-
-(* Any atom globally empty (all its shards empty) means no answers and,
-   as in the unsharded run, no counting at all. *)
-let sharded_empty ctxs =
-  let k = Array.length ctxs and n = ctxs.(0).natoms in
-  let e = ref false in
-  for i = 0 to n - 1 do
-    let tot = ref 0 in
-    for s = 0 to k - 1 do
-      tot := !tot + Trie.row_count ctxs.(s).tries.(i)
-    done;
-    if !tot = 0 then e := true
-  done;
-  !e
-
-(* Level-0 emulation: reproduce [enumerate ~level:0]'s exact counter and
-   budget accounting over the merged streams, routing each surviving
-   candidate to its shard's task list (heavy candidates expand one level
-   deeper inside the shard, as gen_tasks does). *)
-let gen_sharded_tasks ctxs c ~sub =
-  (* level-0 accounting belongs to the lead participant alone; everyone
-     else replays the identical stream walk against a scratch counter
-     (the walk itself is required: probe outcomes and the early abort
-     decide which candidates exist at all) *)
-  let c0 = if sub.lead then c else fresh_counters () in
-  let k = Array.length ctxs in
-  let ctx0 = ctxs.(0) in
-  let ps = ctx0.participants.(0) in
-  let np = Array.length ps in
-  if np = 0 then invalid_arg "Generic_join: variable missing from all atoms";
-  let streams =
-    Array.map
-      (fun i ->
-        Shard.Stream.make
-          (Array.init k (fun s -> Trie.column ctxs.(s).tries.(i) 0)))
-      ps
-  in
-  (* leader: smallest total size, first wins - the same choice the
-     unsharded engine makes on the full root ranges *)
-  let lj = ref 0 and lsize = ref max_int in
-  Array.iteri
-    (fun j st ->
-      let s = Shard.Stream.total st in
-      if s < !lsize then begin
-        lsize := s;
-        lj := j
-      end)
-    streams;
-  let lj = !lj in
-  let tasks = Array.make k [] in
-  let counts = Array.make k 0 in
-  let wss = Array.init k (fun s -> make_ws ctxs.(s)) in
-  Array.iteri (fun s ws -> init_root ctxs.(s) ws) wss;
-  let ls = streams.(lj) in
-  let dead = ref false in
-  while (not !dead) && not (Shard.Stream.exhausted ls) do
-    let v = Shard.Stream.cur ls in
-    c0.intersections <- c0.intersections + 1;
-    (match ctx0.bud with Some b when sub.lead -> Budget.tick b | _ -> ());
-    let ok = ref true in
-    let j = ref 0 in
-    while !ok && !j < np do
-      if !j <> lj then begin
-        let st = streams.(!j) in
-        Shard.Stream.seek_geq st v;
-        if Shard.Stream.exhausted st then begin
-          ok := false;
-          dead := true
-        end
-        else if Shard.Stream.cur st <> v then ok := false
-      end;
-      incr j
-    done;
-    if !ok then begin
-      let s = Shard.shard_of ~k v in
-      if not (sub.owned s) then ()
-      else begin
-      let cx = ctxs.(s) in
-      let ws = wss.(s) in
-      ws.assignment.(0) <- v;
-      let st0 = ws.stack.(0) and st1 = ws.stack.(1) in
-      Array.blit st0 0 st1 0 (2 * cx.natoms);
-      Array.iter
-        (fun i ->
-          match
-            Trie.narrow cx.tries.(i) ~depth:0 ~lo:st0.(2 * i)
-              ~hi:st0.((2 * i) + 1) v
-          with
-          | Some (lo, hi) ->
-              st1.(2 * i) <- lo;
-              st1.((2 * i) + 1) <- hi
-          | None -> assert false (* v probed present in every participant *))
-        ps;
-      let push plen =
-        counts.(s) <- counts.(s) + 1;
-        tasks.(s) <-
-          {
-            plen;
-            v0 = ws.assignment.(0);
-            v1 = (if plen > 1 then ws.assignment.(1) else 0);
-            st = Array.copy ws.stack.(plen);
-          }
-          :: tasks.(s)
-      in
-      let heavy =
-        cx.nvars >= 2
-        &&
-        let ps1 = cx.participants.(1) in
-        let st = ws.stack.(1) in
-        let w = ref max_int in
-        Array.iter
-          (fun i ->
-            let sz = st.((2 * i) + 1) - st.(2 * i) in
-            if sz < !w then w := sz)
-          ps1;
-        !w > split_threshold
-      in
-      if heavy then enumerate cx ws c ~level:1 ~stop:2 (fun () -> push 2)
-      else push 1
-      end
-    end;
-    Shard.Stream.advance_gt ls v
-  done;
-  (Array.map (fun l -> Array.of_list (List.rev l)) tasks, counts)
-
-(* Skew fallback: shard task lists exceeding 2x the mean are halved
-   recursively into execution units, so one hot shard cannot serialize
-   the pool.  Units are ordered by (shard, offset); merging per-unit
-   counters in that order keeps totals deterministic. *)
-type exec_unit = { shard : int; t0 : int; t1 : int }
-
-let units_of counts =
-  let k = Array.length counts in
-  let total = Array.fold_left ( + ) 0 counts in
-  let mean = max 1 ((total + k - 1) / k) in
-  let cap = 2 * mean in
-  let out = ref [] in
-  let rec split s t0 t1 =
-    if t1 - t0 > cap && t1 - t0 > 1 then begin
-      let mid = (t0 + t1) / 2 in
-      split s t0 mid;
-      split s mid t1
-    end
-    else if t1 > t0 then out := { shard = s; t0; t1 } :: !out
-  in
-  for s = k - 1 downto 0 do
-    split s 0 counts.(s)
-  done;
-  Array.of_list !out
-
-let run_units ctxs (tasks : task array array) units pool c ~make_acc ~consume =
-  let nu = Array.length units in
-  let accs = Array.init nu (fun _ -> make_acc ()) in
-  let ctrs = Array.init nu (fun _ -> fresh_counters ()) in
-  let body u =
-    let { shard = s; t0; t1 } = units.(u) in
-    let cx = ctxs.(s) in
-    let ws = make_ws cx in
-    let ck = ctrs.(u) and acc = accs.(u) in
-    for ti = t0 to t1 - 1 do
-      let t = tasks.(s).(ti) in
-      ws.assignment.(0) <- t.v0;
-      if t.plen > 1 then ws.assignment.(1) <- t.v1;
-      Array.blit t.st 0 ws.stack.(t.plen) 0 (2 * cx.natoms);
-      enumerate cx ws ck ~level:t.plen ~stop:cx.nvars (fun () ->
-          ck.emitted <- ck.emitted + 1;
-          consume acc ws.assignment)
-    done
-  in
-  (match pool with
-  | Some p when Pool.size p > 1 && nu > 1 -> Pool.run p ~chunks:nu body
-  | _ ->
-      for u = 0 to nu - 1 do
-        body u
-      done);
-  Array.iter
-    (fun ck ->
-      c.intersections <- c.intersections + ck.intersections;
-      c.emitted <- c.emitted + ck.emitted)
-    ctrs;
-  accs
-
-let sharded_drive ?order ?counters ?ctx ?partition ?view ?(subset = all_shards)
-    ~shards db q ~make_acc ~consume =
-  if shards < 1 then invalid_arg "Generic_join.run_sharded: shards < 1";
-  let ex = Exec.resolve ?ctx () in
-  let order = match order with Some o -> o | None -> Query.attributes q in
-  let c = match counters with Some c -> c | None -> fresh_counters () in
-  with_metrics ex.Exec.metrics c @@ fun () ->
-  if Array.length order = 0 then begin
-    (* no variable to partition on; the unsharded engine is the story *)
-    let cx =
-      make_ctx ?budget:ex.Exec.budget ~metrics:ex.Exec.metrics ~order db q
-    in
-    let acc = make_acc () in
-    run_seq cx c (fun a -> consume acc a);
-    [| acc |]
-  end
-  else begin
-    let view =
-      match view with
-      | Some (v : Shard.view) ->
-          if v.Shard.k <> shards then
-            invalid_arg "Generic_join.run_sharded: view shard count mismatch";
-          if v.Shard.attr <> order.(0) then
-            invalid_arg "Generic_join.run_sharded: view attribute mismatch";
-          v
-      | None -> Shard.view ?hook:partition ~attr:order.(0) ~k:shards db q
-    in
-    let ctxs =
-      make_shard_ctxs ?pool:ex.Exec.pool ?budget:ex.Exec.budget
-        ~lead:subset.lead ~metrics:ex.Exec.metrics ~order view
-    in
-    if sharded_empty ctxs then [| make_acc () |]
-    else begin
-      let tasks, counts = gen_sharded_tasks ctxs c ~sub:subset in
-      let units = units_of counts in
-      run_units ctxs tasks units ex.Exec.pool c ~make_acc ~consume
-    end
-  end
-
-let count_sharded ?order ?counters ?ctx ?partition ?view ?subset ~shards db q =
-  let accs =
-    sharded_drive ?order ?counters ?ctx ?partition ?view ?subset ~shards db q
-      ~make_acc:(fun () -> ref 0)
-      ~consume:(fun r _ -> incr r)
-  in
-  Array.fold_left (fun acc r -> acc + !r) 0 accs
-
-let run_sharded ?order ?counters ?ctx ?partition ?view ?subset ~shards db q =
-  let order' = match order with Some o -> o | None -> Query.attributes q in
-  let accs =
-    sharded_drive ?order ?counters ?ctx ?partition ?view ?subset ~shards db q
-      ~make_acc:(fun () -> ref [])
-      ~consume:(fun r a -> r := Array.copy a :: !r)
-  in
-  Relation.make order'
-    (Array.fold_left (fun acc r -> List.rev_append !r acc) [] accs)

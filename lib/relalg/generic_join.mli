@@ -4,19 +4,17 @@
     smallest set - the step that caps total work at O(N^{rho*}).
 
     The engine works over columnar tries with galloping seeks and an
-    allocation-free state stack; [count] and [answer] optionally run on
-    a {!Lb_util.Pool} of domains, partitioning the first variable's
-    candidates (heavy candidates are split one level deeper) and merging
-    per-domain counters, with results identical to a sequential run.
+    allocation-free state stack.  It is sequential: the reference
+    oracle whose answers and counters the compiled tier
+    ({!Compile}, which holds the Domain-parallel and sharded drivers)
+    reproduces on every driver.  A [ctx] pool is ignored.
 
     Resource governance: a budget is ticked once per enumerated
     leader key (the unit the O(N^{rho*}) accounting charges), raising
-    {!Lb_util.Budget.Budget_exhausted} when spent - under a pool, every
-    domain observes the shared budget, so exhaustion stops all of them
-    within a tick.  The metrics sink receives the per-call
-    [generic_join.intersections] / [generic_join.emitted] deltas (also
-    when the run is cut short) and one [generic_join.trie_builds] tick
-    per execution context built.
+    {!Lb_util.Budget.Budget_exhausted} when spent.  The metrics sink
+    receives the per-call [generic_join.intersections] /
+    [generic_join.emitted] deltas (also when the run is cut short) and
+    one [generic_join.trie_builds] tick per execution context built.
 
     Execution resources are passed as a single [?ctx]
     ({!Lb_util.Exec.t}); see {!Lb_util.Exec.make}. *)
@@ -37,8 +35,7 @@ val iter :
   (int array -> unit) ->
   unit
 
-(** Materialize the answer (schema = the variable order).  With a pool,
-    trie builds and the join itself run across the pool's domains. *)
+(** Materialize the answer (schema = the variable order). *)
 val answer :
   ?order:string array ->
   ?ctx:Lb_util.Exec.t ->
@@ -46,9 +43,7 @@ val answer :
   Query.t ->
   Relation.t
 
-(** Count the answers.  With a pool, runs the Domain-parallel driver;
-    the count and the final counter totals are identical to a sequential
-    run on the same inputs. *)
+(** Count the answers. *)
 val count :
   ?order:string array ->
   ?counters:counters ->
@@ -66,8 +61,6 @@ val count_bounded :
   Query.t ->
   int Lb_util.Budget.outcome
 
-exception Found
-
 (** The Boolean join query: stop at the first answer. *)
 val exists :
   ?order:string array ->
@@ -75,56 +68,3 @@ val exists :
   Database.t ->
   Query.t ->
   bool
-
-(** {2 Sharded execution}
-
-    The sharded driver hash-partitions every atom containing the first
-    variable of the order into [shards] co-partitioned pieces
-    ({!Shard.view}) and runs one subproblem per shard, fanned out on
-    [ctx]'s pool with a 2x-mean skew split.  The level-0 loop is
-    emulated over the merged per-shard key streams, so answers, counter
-    totals and budget ticks are bit-identical to the unsharded run.
-    [?partition] (see {!Shard.view}'s [?hook]) lets a catalog supply
-    warm raw-relation partitions; [?view] supplies a prebuilt view
-    outright (its [k] must equal [shards] and its attribute the first
-    variable of the order). *)
-
-(** Which slice of the sharded run this process executes.  [owned s]
-    selects the shards whose deep-level work (and counters, emitted
-    rows, heavy-split expansion) this participant performs; [lead]
-    marks the one participant that accounts the shared level-0 stream
-    emulation and the logical [generic_join.trie_builds] tick.  Over a
-    cover of participants - every shard owned exactly once, exactly one
-    lead - the reported counters sum to the single-process sharded
-    totals bit for bit.  The default, {!all_shards}, owns everything
-    and leads: the single-process case.  Ignored when the variable
-    order is empty (the unsharded fallback runs whole). *)
-type subset = { owned : int -> bool; lead : bool }
-
-val all_shards : subset
-
-(** Materialize the answer through the sharded driver. *)
-val run_sharded :
-  ?order:string array ->
-  ?counters:counters ->
-  ?ctx:Lb_util.Exec.t ->
-  ?partition:(Query.atom -> col:int -> Relation.t array option) ->
-  ?view:Shard.view ->
-  ?subset:subset ->
-  shards:int ->
-  Database.t ->
-  Query.t ->
-  Relation.t
-
-(** Count the answers through the sharded driver. *)
-val count_sharded :
-  ?order:string array ->
-  ?counters:counters ->
-  ?ctx:Lb_util.Exec.t ->
-  ?partition:(Query.atom -> col:int -> Relation.t array option) ->
-  ?view:Shard.view ->
-  ?subset:subset ->
-  shards:int ->
-  Database.t ->
-  Query.t ->
-  int

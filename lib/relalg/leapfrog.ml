@@ -11,11 +11,10 @@
    The engine shares the design of [Generic_join]: participants and
    their trie columns per level are precomputed from the schema, the
    per-atom row ranges live in a preallocated stack of flat int arrays,
-   and nothing allocates on the hot path.  [count]/[answer] accept a
-   [?pool] to run the first variable's candidates Domain-parallel with
-   per-chunk counters merged at the end. *)
+   and nothing allocates on the hot path.  Like Generic_join it is
+   sequential: the reference the compiled tier (Compile), which holds
+   the Domain-parallel and sharded drivers, is checked against. *)
 
-module Pool = Lb_util.Pool
 module Budget = Lb_util.Budget
 module Metrics = Lb_util.Metrics
 module Exec = Lb_util.Exec
@@ -31,14 +30,14 @@ type ctx = {
   natoms : int;
   participants : int array array;
   pcols : Column.t array array;
-  bud : Budget.t option;
-      (* ticked once per agreed key and per seek; shared across domains
-         in parallel runs (cooperative - see Generic_join) *)
+  bud : Budget.t option; (* ticked once per agreed key and per seek *)
 }
 
-(* Schema-driven part of the context; shared with the per-shard
-   builders (see Generic_join). *)
-let ctx_of_tries ?budget ~order tries =
+let make_ctx ?budget ?(metrics = Metrics.disabled) ~order db (q : Query.t) =
+  Metrics.incr metrics "leapfrog.trie_builds";
+  let tries =
+    Array.map (fun a -> Trie.build ~order (Query.bind_atom db a)) (Array.of_list q)
+  in
   let natoms = Array.length tries in
   let nvars = Array.length order in
   let participants = Array.make nvars [||] in
@@ -57,22 +56,6 @@ let ctx_of_tries ?budget ~order tries =
       Array.of_list (List.map (fun (i, d) -> Trie.column tries.(i) d) !ids)
   done;
   { tries; nvars; natoms; participants; pcols; bud = budget }
-
-let make_ctx ?pool ?budget ?(metrics = Metrics.disabled) ~order db
-    (q : Query.t) =
-  Metrics.incr metrics "leapfrog.trie_builds";
-  let atoms = Array.of_list q in
-  let natoms = Array.length atoms in
-  let build i = Trie.build ~order (Query.bind_atom db atoms.(i)) in
-  let tries =
-    match pool with
-    | Some p when Pool.size p > 1 && natoms > 1 ->
-        let out = Array.make natoms None in
-        Pool.run p ~chunks:natoms (fun i -> out.(i) <- Some (build i));
-        Array.map Option.get out
-    | _ -> Array.init natoms build
-  in
-  ctx_of_tries ?budget ~order tries
 
 let has_empty_atom ctx =
   let e = ref false in
@@ -100,10 +83,10 @@ let init_root ctx ws =
     st.(2 * i + 1) <- Trie.row_count ctx.tries.(i)
   done
 
-(* Leapfrog the participants' key streams at [level], recursing to
-   [stop]; [c.seeks] counts actual seek operations. *)
-let rec enumerate ctx ws c ~level ~stop on_leaf =
-  if level >= stop then on_leaf ()
+(* Leapfrog the participants' key streams at [level], recursing to the
+   last level; [c.seeks] counts actual seek operations. *)
+let rec enumerate ctx ws c ~level on_leaf =
+  if level >= ctx.nvars then on_leaf ()
   else begin
     let ps = ctx.participants.(level) in
     let np = Array.length ps in
@@ -138,7 +121,7 @@ let rec enumerate ctx ws c ~level ~stop on_leaf =
           st'.(2 * i + 1) <- e
         done;
         ws.assignment.(level) <- v;
-        enumerate ctx ws c ~level:(level + 1) ~stop on_leaf;
+        enumerate ctx ws c ~level:(level + 1) on_leaf;
         (* advance every iterator past v *)
         for j = 0 to np - 1 do
           let i = ps.(j) in
@@ -166,7 +149,7 @@ let run_seq ctx c f =
   if not (has_empty_atom ctx) then begin
     let ws = make_ws ctx in
     init_root ctx ws;
-    enumerate ctx ws c ~level:0 ~stop:ctx.nvars (fun () ->
+    enumerate ctx ws c ~level:0 (fun () ->
         c.emitted <- c.emitted + 1;
         f ws.assignment)
   end
@@ -185,414 +168,30 @@ let iter ?order ?counters ?ctx db (q : Query.t) f =
   let ex = Exec.resolve ?ctx () in
   let order = match order with Some o -> o | None -> Query.attributes q in
   let c = match counters with Some c -> c | None -> fresh_counters () in
-  with_metrics ex.Exec.metrics c (fun () ->
-      run_seq
-        (make_ctx ?budget:ex.Exec.budget ~metrics:ex.Exec.metrics ~order db q)
-        c f)
-
-(* --- parallel driver (same task scheme as Generic_join) --- *)
-
-type task = { plen : int; v0 : int; v1 : int; st : int array }
-
-let split_threshold = 64
-
-let gen_tasks ctx ws c =
-  let tasks = ref [] and n = ref 0 in
-  let push plen =
-    incr n;
-    tasks :=
-      {
-        plen;
-        v0 = ws.assignment.(0);
-        v1 = (if plen > 1 then ws.assignment.(1) else 0);
-        st = Array.copy ws.stack.(plen);
-      }
-      :: !tasks
-  in
-  enumerate ctx ws c ~level:0 ~stop:1 (fun () ->
-      let heavy =
-        ctx.nvars >= 2
-        &&
-        let ps = ctx.participants.(1) in
-        let st = ws.stack.(1) in
-        let w = ref max_int in
-        Array.iter
-          (fun i ->
-            let s = st.((2 * i) + 1) - st.(2 * i) in
-            if s < !w then w := s)
-          ps;
-        !w > split_threshold
-      in
-      if heavy then enumerate ctx ws c ~level:1 ~stop:2 (fun () -> push 2)
-      else push 1);
-  (!n, Array.of_list (List.rev !tasks))
-
-let run_par ctx pool c ~make_acc ~consume =
-  let gws = make_ws ctx in
-  init_root ctx gws;
-  let ntasks, tasks = gen_tasks ctx gws c in
-  let per_chunk = max 1 (ntasks / (Pool.size pool * 8)) in
-  let nchunks = (ntasks + per_chunk - 1) / per_chunk in
-  let accs = Array.init nchunks (fun _ -> make_acc ()) in
-  let ctrs = Array.init nchunks (fun _ -> fresh_counters ()) in
-  Pool.run pool ~chunks:nchunks (fun k ->
-      let ws = make_ws ctx in
-      let ck = ctrs.(k) and acc = accs.(k) in
-      let t1 = min ntasks ((k + 1) * per_chunk) in
-      for ti = k * per_chunk to t1 - 1 do
-        let t = tasks.(ti) in
-        ws.assignment.(0) <- t.v0;
-        if t.plen > 1 then ws.assignment.(1) <- t.v1;
-        Array.blit t.st 0 ws.stack.(t.plen) 0 (2 * ctx.natoms);
-        enumerate ctx ws ck ~level:t.plen ~stop:ctx.nvars (fun () ->
-            ck.emitted <- ck.emitted + 1;
-            consume acc ws.assignment)
-      done);
-  Array.iter
-    (fun ck ->
-      c.seeks <- c.seeks + ck.seeks;
-      c.emitted <- c.emitted + ck.emitted)
-    ctrs;
-  accs
-
-let pool_applies ctx = function
-  | Some p when Pool.size p > 1 && ctx.nvars >= 2 -> Some p
-  | _ -> None
+  let cx = make_ctx ?budget:ex.Exec.budget ~metrics:ex.Exec.metrics ~order db q in
+  with_metrics ex.Exec.metrics c (fun () -> run_seq cx c f)
 
 let count ?order ?counters ?ctx db q =
-  let ex = Exec.resolve ?ctx () in
-  let order = match order with Some o -> o | None -> Query.attributes q in
-  let c = match counters with Some c -> c | None -> fresh_counters () in
-  let ctx =
-    make_ctx ?pool:ex.Exec.pool ?budget:ex.Exec.budget ~metrics:ex.Exec.metrics
-      ~order db q
-  in
-  with_metrics ex.Exec.metrics c @@ fun () ->
-  match pool_applies ctx ex.Exec.pool with
-  | Some p when not (has_empty_atom ctx) ->
-      let accs =
-        run_par ctx p c ~make_acc:(fun () -> ref 0) ~consume:(fun r _ -> incr r)
-      in
-      Array.fold_left (fun acc r -> acc + !r) 0 accs
-  | _ ->
-      let n = ref 0 in
-      run_seq ctx c (fun _ -> incr n);
-      !n
+  let n = ref 0 in
+  iter ?order ?counters ?ctx db q (fun _ -> incr n);
+  !n
 
 let count_bounded ?order ?counters ?ctx db q =
   Budget.protect (fun () -> count ?order ?counters ?ctx db q)
 
 let answer ?order ?ctx db q =
-  let ex = Exec.resolve ?ctx () in
   let order = match order with Some o -> o | None -> Query.attributes q in
-  let c = fresh_counters () in
-  let ctx =
-    make_ctx ?pool:ex.Exec.pool ?budget:ex.Exec.budget ~metrics:ex.Exec.metrics
-      ~order db q
-  in
-  let rows =
-    with_metrics ex.Exec.metrics c @@ fun () ->
-    match pool_applies ctx ex.Exec.pool with
-    | Some p when not (has_empty_atom ctx) ->
-        let accs =
-          run_par ctx p c
-            ~make_acc:(fun () -> ref [])
-            ~consume:(fun r a -> r := Array.copy a :: !r)
-        in
-        Array.fold_left (fun acc r -> List.rev_append !r acc) [] accs
-    | _ ->
-        let acc = ref [] in
-        run_seq ctx c (fun a -> acc := Array.copy a :: !acc);
-        !acc
-  in
-  Relation.make order rows
+  let acc = ref [] in
+  iter ~order ?ctx db q (fun a -> acc := Array.copy a :: !acc);
+  Relation.make order !acc
 
 exception Found
 
 let exists ?order ?ctx db q =
   let ex = Exec.resolve ?ctx () in
   let order = match order with Some o -> o | None -> Query.attributes q in
-  let c = fresh_counters () in
-  let ctx = make_ctx ?budget:ex.Exec.budget ~order db q in
+  let cx = make_ctx ?budget:ex.Exec.budget ~order db q in
   try
-    run_seq ctx c (fun _ -> raise Found);
+    run_seq cx (fresh_counters ()) (fun _ -> raise Found);
     false
   with Found -> true
-
-(* --- sharded driver --- *)
-
-(* Same scheme as Generic_join's: per-shard contexts over a Shard.view,
-   with the level-0 leapfrog emulated over merged per-shard key streams
-   so that seeks, agreed keys and budget ticks replicate the unsharded
-   loop exactly; each agreed key x=v becomes a task routed to shard
-   [shard_of v], whose subtree under v is content-identical to the
-   unsharded trie's. *)
-
-(* Distributed-participant slice: see Generic_join.subset.  [owned s]
-   selects the shards whose deep-level work this process performs;
-   the single [lead] accounts the level-0 emulation and the logical
-   trie build, so counters summed over a cover of participants equal
-   the single-process sharded totals. *)
-type subset = { owned : int -> bool; lead : bool }
-
-let all_shards = { owned = (fun _ -> true); lead = true }
-
-let make_shard_ctxs ?pool ?budget ?(lead = true) ~metrics ~order
-    (view : Shard.view) =
-  if lead then Metrics.incr metrics "leapfrog.trie_builds";
-  let k = view.Shard.k in
-  let parts = view.Shard.parts in
-  let natoms = Array.length parts in
-  let out = Array.init natoms (fun _ -> Array.make k None) in
-  let jobs = ref [] in
-  Array.iteri
-    (fun i p ->
-      match p with
-      | Shard.Whole _ -> jobs := (i, -1) :: !jobs
-      | Shard.Parts _ ->
-          for s = k - 1 downto 0 do
-            jobs := (i, s) :: !jobs
-          done)
-    parts;
-  let jobs = Array.of_list !jobs in
-  let build (i, s) =
-    match parts.(i) with
-    | Shard.Whole r ->
-        let t = Trie.build ~order r in
-        for s = 0 to k - 1 do
-          out.(i).(s) <- Some t
-        done
-    | Shard.Parts a -> out.(i).(s) <- Some (Trie.build ~order a.(s))
-  in
-  (match pool with
-  | Some p when Pool.size p > 1 && Array.length jobs > 1 ->
-      Pool.run p ~chunks:(Array.length jobs) (fun j -> build jobs.(j))
-  | _ -> Array.iter build jobs);
-  Array.init k (fun s ->
-      ctx_of_tries ?budget ~order
-        (Array.init natoms (fun i -> Option.get out.(i).(s))))
-
-let sharded_empty ctxs =
-  let k = Array.length ctxs and n = ctxs.(0).natoms in
-  let e = ref false in
-  for i = 0 to n - 1 do
-    let tot = ref 0 in
-    for s = 0 to k - 1 do
-      tot := !tot + Trie.row_count ctxs.(s).tries.(i)
-    done;
-    if !tot = 0 then e := true
-  done;
-  !e
-
-(* Level-0 leapfrog emulation: [c.seeks] and the budget are charged at
-   exactly the points the unsharded loop charges them, including the
-   in-loop [fin] guard that stops seeking the remaining laggards once
-   one stream exhausts. *)
-let gen_sharded_tasks ctxs c ~sub =
-  (* level-0 seek/tick accounting belongs to the lead participant; the
-     others replay the identical stream walk against a scratch counter *)
-  let c0 = if sub.lead then c else fresh_counters () in
-  let k = Array.length ctxs in
-  let ctx0 = ctxs.(0) in
-  let ps = ctx0.participants.(0) in
-  let np = Array.length ps in
-  if np = 0 then invalid_arg "Leapfrog: variable missing from all atoms";
-  let streams =
-    Array.map
-      (fun i ->
-        Shard.Stream.make
-          (Array.init k (fun s -> Trie.column ctxs.(s).tries.(i) 0)))
-      ps
-  in
-  let tasks = Array.make k [] in
-  let counts = Array.make k 0 in
-  let wss = Array.init k (fun s -> make_ws ctxs.(s)) in
-  Array.iteri (fun s ws -> init_root ctxs.(s) ws) wss;
-  let fin = ref false in
-  Array.iter
-    (fun st -> if Shard.Stream.exhausted st then fin := true)
-    streams;
-  while not !fin do
-    let k0 = Shard.Stream.cur streams.(0) in
-    let kmax = ref k0 and kmin = ref k0 in
-    for j = 1 to np - 1 do
-      let key = Shard.Stream.cur streams.(j) in
-      if key > !kmax then kmax := key;
-      if key < !kmin then kmin := key
-    done;
-    if !kmin = !kmax then begin
-      let v = !kmin in
-      (match ctx0.bud with Some b when sub.lead -> Budget.tick b | _ -> ());
-      let s = Shard.shard_of ~k v in
-      if sub.owned s then begin
-      let cx = ctxs.(s) in
-      let ws = wss.(s) in
-      ws.assignment.(0) <- v;
-      let st0 = ws.stack.(0) and st1 = ws.stack.(1) in
-      Array.blit st0 0 st1 0 (2 * cx.natoms);
-      Array.iter
-        (fun i ->
-          match
-            Trie.narrow cx.tries.(i) ~depth:0 ~lo:st0.(2 * i)
-              ~hi:st0.((2 * i) + 1) v
-          with
-          | Some (lo, hi) ->
-              st1.(2 * i) <- lo;
-              st1.((2 * i) + 1) <- hi
-          | None -> assert false (* all streams agreed on v *))
-        ps;
-      let push plen =
-        counts.(s) <- counts.(s) + 1;
-        tasks.(s) <-
-          {
-            plen;
-            v0 = ws.assignment.(0);
-            v1 = (if plen > 1 then ws.assignment.(1) else 0);
-            st = Array.copy ws.stack.(plen);
-          }
-          :: tasks.(s)
-      in
-      let heavy =
-        cx.nvars >= 2
-        &&
-        let ps1 = cx.participants.(1) in
-        let st = ws.stack.(1) in
-        let w = ref max_int in
-        Array.iter
-          (fun i ->
-            let sz = st.((2 * i) + 1) - st.(2 * i) in
-            if sz < !w then w := sz)
-          ps1;
-        !w > split_threshold
-      in
-      if heavy then enumerate cx ws c ~level:1 ~stop:2 (fun () -> push 2)
-      else push 1
-      end;
-      Array.iter
-        (fun st ->
-          Shard.Stream.advance_gt st v;
-          if Shard.Stream.exhausted st then fin := true)
-        streams
-    end
-    else begin
-      let m = !kmax in
-      for j = 0 to np - 1 do
-        if (not !fin) && Shard.Stream.cur streams.(j) < m then begin
-          c0.seeks <- c0.seeks + 1;
-          (match ctx0.bud with Some b when sub.lead -> Budget.tick b | _ -> ());
-          Shard.Stream.seek_geq streams.(j) m;
-          if Shard.Stream.exhausted streams.(j) then fin := true
-        end
-      done
-    end
-  done;
-  (Array.map (fun l -> Array.of_list (List.rev l)) tasks, counts)
-
-type exec_unit = { shard : int; t0 : int; t1 : int }
-
-let units_of counts =
-  let k = Array.length counts in
-  let total = Array.fold_left ( + ) 0 counts in
-  let mean = max 1 ((total + k - 1) / k) in
-  let cap = 2 * mean in
-  let out = ref [] in
-  let rec split s t0 t1 =
-    if t1 - t0 > cap && t1 - t0 > 1 then begin
-      let mid = (t0 + t1) / 2 in
-      split s t0 mid;
-      split s mid t1
-    end
-    else if t1 > t0 then out := { shard = s; t0; t1 } :: !out
-  in
-  for s = k - 1 downto 0 do
-    split s 0 counts.(s)
-  done;
-  Array.of_list !out
-
-let run_units ctxs (tasks : task array array) units pool c ~make_acc ~consume =
-  let nu = Array.length units in
-  let accs = Array.init nu (fun _ -> make_acc ()) in
-  let ctrs = Array.init nu (fun _ -> fresh_counters ()) in
-  let body u =
-    let { shard = s; t0; t1 } = units.(u) in
-    let cx = ctxs.(s) in
-    let ws = make_ws cx in
-    let ck = ctrs.(u) and acc = accs.(u) in
-    for ti = t0 to t1 - 1 do
-      let t = tasks.(s).(ti) in
-      ws.assignment.(0) <- t.v0;
-      if t.plen > 1 then ws.assignment.(1) <- t.v1;
-      Array.blit t.st 0 ws.stack.(t.plen) 0 (2 * cx.natoms);
-      enumerate cx ws ck ~level:t.plen ~stop:cx.nvars (fun () ->
-          ck.emitted <- ck.emitted + 1;
-          consume acc ws.assignment)
-    done
-  in
-  (match pool with
-  | Some p when Pool.size p > 1 && nu > 1 -> Pool.run p ~chunks:nu body
-  | _ ->
-      for u = 0 to nu - 1 do
-        body u
-      done);
-  Array.iter
-    (fun ck ->
-      c.seeks <- c.seeks + ck.seeks;
-      c.emitted <- c.emitted + ck.emitted)
-    ctrs;
-  accs
-
-let sharded_drive ?order ?counters ?ctx ?partition ?view ?(subset = all_shards)
-    ~shards db q ~make_acc ~consume =
-  if shards < 1 then invalid_arg "Leapfrog.run_sharded: shards < 1";
-  let ex = Exec.resolve ?ctx () in
-  let order = match order with Some o -> o | None -> Query.attributes q in
-  let c = match counters with Some c -> c | None -> fresh_counters () in
-  with_metrics ex.Exec.metrics c @@ fun () ->
-  if Array.length order = 0 then begin
-    let cx =
-      make_ctx ?budget:ex.Exec.budget ~metrics:ex.Exec.metrics ~order db q
-    in
-    let acc = make_acc () in
-    run_seq cx c (fun a -> consume acc a);
-    [| acc |]
-  end
-  else begin
-    let view =
-      match view with
-      | Some (v : Shard.view) ->
-          if v.Shard.k <> shards then
-            invalid_arg "Leapfrog.run_sharded: view shard count mismatch";
-          if v.Shard.attr <> order.(0) then
-            invalid_arg "Leapfrog.run_sharded: view attribute mismatch";
-          v
-      | None -> Shard.view ?hook:partition ~attr:order.(0) ~k:shards db q
-    in
-    let ctxs =
-      make_shard_ctxs ?pool:ex.Exec.pool ?budget:ex.Exec.budget
-        ~lead:subset.lead ~metrics:ex.Exec.metrics ~order view
-    in
-    if sharded_empty ctxs then [| make_acc () |]
-    else begin
-      let tasks, counts = gen_sharded_tasks ctxs c ~sub:subset in
-      let units = units_of counts in
-      run_units ctxs tasks units ex.Exec.pool c ~make_acc ~consume
-    end
-  end
-
-let count_sharded ?order ?counters ?ctx ?partition ?view ?subset ~shards db q =
-  let accs =
-    sharded_drive ?order ?counters ?ctx ?partition ?view ?subset ~shards db q
-      ~make_acc:(fun () -> ref 0)
-      ~consume:(fun r _ -> incr r)
-  in
-  Array.fold_left (fun acc r -> acc + !r) 0 accs
-
-let run_sharded ?order ?counters ?ctx ?partition ?view ?subset ~shards db q =
-  let order' = match order with Some o -> o | None -> Query.attributes q in
-  let accs =
-    sharded_drive ?order ?counters ?ctx ?partition ?view ?subset ~shards db q
-      ~make_acc:(fun () -> ref [])
-      ~consume:(fun r a -> r := Array.copy a :: !r)
-  in
-  Relation.make order'
-    (Array.fold_left (fun acc r -> List.rev_append !r acc) [] accs)

@@ -1,16 +1,16 @@
 (** Leapfrog Triejoin (Veldhuizen): the second worst-case-optimal join
     of Theorem 3.3.  The per-variable intersection leapfrogs sorted key
     streams over columnar tries, seeking each iterator to the current
-    maximum by galloping search from its position.  [count]/[answer]
-    accept a {!Lb_util.Pool} to run Domain-parallel with results and
-    counter totals identical to a sequential run.
+    maximum by galloping search from its position.  Like
+    {!Generic_join} it is sequential: the reference oracle for the
+    compiled tier ({!Compile}), which holds the Domain-parallel and
+    sharded drivers.  A [ctx] pool is ignored.
 
     Resource governance mirrors {!Generic_join}: the budget is ticked
     once per agreed key and per seek (raising
-    {!Lb_util.Budget.Budget_exhausted} when spent, on every domain of a
-    parallel run); the metrics sink receives the per-call
-    [leapfrog.seeks] / [leapfrog.emitted] deltas and one
-    [leapfrog.trie_builds] tick per execution context built.
+    {!Lb_util.Budget.Budget_exhausted} when spent); the metrics sink
+    receives the per-call [leapfrog.seeks] / [leapfrog.emitted] deltas
+    and one [leapfrog.trie_builds] tick per execution context built.
 
     As in {!Generic_join}, resources are passed as a single [?ctx]
     ({!Lb_util.Exec.t}); see {!Lb_util.Exec.make}. *)
@@ -53,44 +53,9 @@ val count_bounded :
   Query.t ->
   int Lb_util.Budget.outcome
 
-exception Found
-
 val exists :
   ?order:string array ->
   ?ctx:Lb_util.Exec.t ->
   Database.t ->
   Query.t ->
   bool
-
-(** Distributed-participant slice; same contract as
-    {!Generic_join.subset}. *)
-type subset = { owned : int -> bool; lead : bool }
-
-val all_shards : subset
-
-(** Sharded driver; same contract and determinism guarantees as
-    {!Generic_join.run_sharded}, with the level-0 leapfrog emulated over
-    the merged per-shard key streams. *)
-val run_sharded :
-  ?order:string array ->
-  ?counters:counters ->
-  ?ctx:Lb_util.Exec.t ->
-  ?partition:(Query.atom -> col:int -> Relation.t array option) ->
-  ?view:Shard.view ->
-  ?subset:subset ->
-  shards:int ->
-  Database.t ->
-  Query.t ->
-  Relation.t
-
-val count_sharded :
-  ?order:string array ->
-  ?counters:counters ->
-  ?ctx:Lb_util.Exec.t ->
-  ?partition:(Query.atom -> col:int -> Relation.t array option) ->
-  ?view:Shard.view ->
-  ?subset:subset ->
-  shards:int ->
-  Database.t ->
-  Query.t ->
-  int

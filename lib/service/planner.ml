@@ -72,24 +72,24 @@ let bound_statements (q : Q.t) =
   List.map Lowerbounds.Report.statement_to_string
     analysis.Lowerbounds.Bounds.statements
 
+(* The compiled tier's kernel for a WCOJ engine; [None] for the
+   engines that do not run a loop nest. *)
+let compile_engine = function
+  | Generic_join -> Some Lb_relalg.Compile.Generic
+  | Leapfrog -> Some Lb_relalg.Compile.Leapfrog
+  | Yannakakis | Binary_hash | Decomposed -> None
+
 (* Lower the schema half of a WCOJ plan once, at planning time: the IR
    depends only on the query text and the default variable order, so it
    rides in the plan cache and is re-resolved against fresh tries per
-   execution.  [lower] cannot fail on a parsed query (every attribute
-   of the default order comes from an atom), but planning must never
-   die on a lowering bug - degrade to the interpreted path instead.
-   The decomposition route compiles per bag at execution time
-   ([Decomposed_join]'s [~compile]), so it carries no top-level IR. *)
+   execution.  [lower] cannot fail on a parsed query: every attribute
+   of the default order comes from an atom.  The decomposition route
+   compiles per bag at execution time ([Decomposed_join]'s
+   [~compile]), so it carries no top-level IR. *)
 let lower_ir engine (q : Q.t) =
-  let lower ce =
-    match Lb_relalg.Compile.lower ~engine:ce q with
-    | ir -> Some ir
-    | exception Invalid_argument _ -> None
-  in
-  match engine with
-  | Generic_join -> lower Lb_relalg.Compile.Generic
-  | Leapfrog -> lower Lb_relalg.Compile.Leapfrog
-  | Yannakakis | Binary_hash | Decomposed -> None
+  Option.map
+    (fun ce -> Lb_relalg.Compile.lower ~engine:ce q)
+    (compile_engine engine)
 
 let mk ?atom_order ?compiled ?fhw ?decomposition ~forced ~acyclic ~rho ~exponent
     ~why engine q =

@@ -49,7 +49,8 @@ type plan = {
   compiled : Lb_relalg.Compile.ir option;
       (** WCOJ engines: the plan lowered to a monomorphic loop nest
           ({!Lb_relalg.Compile}); schema-only, so it rides in the plan
-          cache.  [None] for other engines or with [~compile:false].
+          cache.  [None] for other engines or with [~compile:false]
+          (executions then lower on the spot).
           The decomposition route instead compiles per bag at
           execution time. *)
   explanation : string list;
@@ -66,7 +67,8 @@ type plan = {
       greedy binary plan's prefix exponent can only match or exceed.
 
     [compile] (default [true]) also lowers WCOJ plans to the compiled
-    tier; [~compile:false] is the interpreted escape hatch. *)
+    tier; with [~compile:false] the plan carries no IR and an execution
+    lowers it itself. *)
 val choose :
   ?compile:bool -> Lb_relalg.Database.t -> Lb_relalg.Query.t -> plan
 
@@ -79,6 +81,10 @@ val plan_for :
   Lb_relalg.Database.t ->
   Lb_relalg.Query.t ->
   (plan, string) result
+
+(** The compiled tier's intersection kernel for a WCOJ engine
+    ([Generic_join] / [Leapfrog]); [None] for the other engines. *)
+val compile_engine : engine -> Lb_relalg.Compile.engine option
 
 (** The {!Lowerbounds.Advisor} strategy a plan corresponds to, for
     explanation reuse. *)

@@ -100,7 +100,7 @@ type request =
           (and counts) only its [owned] shards, so summing the
           participants' counters over a cover reproduces the
           single-process totals bit for bit
-          ({!Lb_relalg.Generic_join.subset}). *)
+          ({!Lb_relalg.Compile.subset}). *)
   | Partition_load of {
       name : string;
       attrs : string list;

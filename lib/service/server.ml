@@ -33,7 +33,6 @@ type config = {
   max_rows : int;
   pool : Pool.t option;
   shards : int;
-  compile : bool;
   ivm : bool;
   data_dir : string option;
   snapshot_every : int;
@@ -54,7 +53,6 @@ let default_config =
     max_rows = 10_000;
     pool = None;
     shards = 1;
-    compile = true;
     ivm = true;
     data_dir = None;
     snapshot_every = 64;
@@ -137,24 +135,45 @@ let incr t name = Metrics.incr t.metrics name
 let rels_of (q : Q.t) =
   List.sort_uniq String.compare (List.map (fun (a : Q.atom) -> a.Q.rel) q)
 
+(* --- the WCOJ call --- *)
+
+(* Every served WCOJ execution - planned queries, IVM maintenance and a
+   worker's distributed slices - runs the compiled tier through this
+   one call.  The IR comes from the plan when it carries one (the plan
+   cache amortizes lowering) and is lowered on the spot otherwise; a
+   shard view selects the sharded driver, and [subset] the slice of it
+   this process executes. *)
+let run_wcoj ~ctx ?ir ?view ?subset ~shards engine db q =
+  let ir =
+    match (ir, Planner.compile_engine engine) with
+    | Some ir, _ -> ir
+    | None, Some ce -> Lb_relalg.Compile.lower ~engine:ce q
+    | None, None ->
+        invalid_arg (Planner.engine_name engine ^ " is not a WCOJ engine")
+  in
+  match view with
+  | Some view when shards > 1 ->
+      Lb_relalg.Compile.run_sharded ~ctx ~view ?subset ~shards ir db q
+  | _ -> Lb_relalg.Compile.answer ~ctx ir db q
+
 (* --- IVM: result-cache maintenance across writes --- *)
 
-(* Maintenance queries run interpreted through whatever engine the
-   planner picks for them - canonical answers are engine-independent,
-   so the choice affects cost only.  Counters land in the lifetime
-   sink (maintenance happens in the sequential phase). *)
+(* Maintenance queries run through whatever engine the planner picks
+   for them - canonical answers are engine-independent, so the choice
+   affects cost only.  Counters land in the lifetime sink (maintenance
+   happens in the sequential phase). *)
 let runner t : Ivm.runner =
  fun db q ->
-  let plan = Planner.choose ~compile:false db q in
+  let plan = Planner.choose db q in
   let ctx = Exec.make ~metrics:t.metrics () in
   match plan.Planner.engine with
   | Planner.Yannakakis -> fst (Lb_relalg.Yannakakis.answer ~ctx db q)
   | Planner.Binary_hash -> fst (Lb_relalg.Binary_plan.run db q)
-  | Planner.Generic_join -> Lb_relalg.Generic_join.answer ~ctx db q
-  | Planner.Leapfrog -> Lb_relalg.Leapfrog.answer ~ctx db q
+  | (Planner.Generic_join | Planner.Leapfrog) as e ->
+      run_wcoj ~ctx ?ir:plan.Planner.compiled ~shards:1 e db q
   | Planner.Decomposed ->
       fst
-        (Lb_relalg.Decomposed_join.answer ~ctx
+        (Lb_relalg.Decomposed_join.answer ~ctx ~compile:true
            ?decomposition:plan.Planner.decomposition db q)
 
 (* Plans mention cardinalities (engine choice, greedy atom orders), so
@@ -572,9 +591,6 @@ type task = {
   sink : Metrics.t;
   budget : Budget.t option;
   shards : int;
-  compile : bool;
-      (* the server's compile setting, for engines that lower per bag
-         at execution time (Decomposed) rather than at plan time *)
   view : Shard.view option;
       (* prebuilt in the sequential phase from the catalog's warm
          partitions, so the parallel phase touches no catalog state *)
@@ -607,26 +623,9 @@ let run_engine ?pool (task : task) db =
       let rel, _stats = Lb_relalg.Yannakakis.answer ~ctx db q in
       Option.iter Budget.check budget;
       rel
-  | Planner.Generic_join -> (
-      (* The compiled IR, when the plan carries one, replaces the
-         interpreted loop nest on every driver - answers, counters and
-         budget ticks are bit-identical (Compile's contract), so the
-         caches and the counter stream cannot tell the paths apart. *)
-      match (task.plan.Planner.compiled, task.view) with
-      | Some ir, Some view when task.shards > 1 ->
-          Lb_relalg.Compile.run_sharded ~ctx ~view ~shards:task.shards ir db q
-      | Some ir, _ -> Lb_relalg.Compile.answer ~ctx ir db q
-      | None, Some view when task.shards > 1 ->
-          Lb_relalg.Generic_join.run_sharded ~ctx ~view ~shards:task.shards db q
-      | None, _ -> Lb_relalg.Generic_join.answer ~ctx db q)
-  | Planner.Leapfrog -> (
-      match (task.plan.Planner.compiled, task.view) with
-      | Some ir, Some view when task.shards > 1 ->
-          Lb_relalg.Compile.run_sharded ~ctx ~view ~shards:task.shards ir db q
-      | Some ir, _ -> Lb_relalg.Compile.answer ~ctx ir db q
-      | None, Some view when task.shards > 1 ->
-          Lb_relalg.Leapfrog.run_sharded ~ctx ~view ~shards:task.shards db q
-      | None, _ -> Lb_relalg.Leapfrog.answer ~ctx db q)
+  | (Planner.Generic_join | Planner.Leapfrog) as e ->
+      run_wcoj ~ctx ?ir:task.plan.Planner.compiled ?view:task.view
+        ~shards:task.shards e db q
   | Planner.Binary_hash ->
       Option.iter Budget.check budget;
       let rel, stats =
@@ -642,12 +641,11 @@ let run_engine ?pool (task : task) db =
       rel
   | Planner.Decomposed ->
       (* Bag materialization + Yannakakis; the plan carries the
-         realizing decomposition, and the compiled loop-nest tier is
-         applied per bag (bit-identical to interpreted, so the counter
-         stream and caches cannot tell the paths apart). *)
+         realizing decomposition, and each bag's WCOJ runs the
+         compiled loop-nest tier. *)
       Option.iter Budget.check budget;
       let rel, stats =
-        Lb_relalg.Decomposed_join.answer ~ctx ~compile:task.compile
+        Lb_relalg.Decomposed_join.answer ~ctx ~compile:true
           ?decomposition:task.plan.Planner.decomposition db q
       in
       Metrics.add sink "decomposed.max_bag_tuples"
@@ -831,11 +829,10 @@ let plan_of t (q : Q.t) canonical (engine : Planner.engine option) =
   | None -> (
       incr t "serve.cache.plan.misses";
       let db = Catalog.database t.catalog in
-      let compile = t.config.compile in
       let planned =
         match engine with
-        | None -> Ok (Planner.choose ~compile db q)
-        | Some e -> Planner.plan_for ~compile e db q
+        | None -> Ok (Planner.choose db q)
+        | Some e -> Planner.plan_for e db q
       in
       match planned with
       | Ok plan ->
@@ -900,7 +897,6 @@ let prepare_query t text (opts : Protocol.query_opts) =
               sink = Metrics.create ();
               budget = None;
               shards;
-              compile = t.config.compile;
               view;
               outcome = Failed "not executed";
               elapsed_ms = 0.0;
@@ -1087,13 +1083,13 @@ let prepare_mutation t op name record =
 
 (* --- the v2 worker surface --- *)
 
-(* One scatter slice: run the sharded WCOJ driver over the shard view,
-   deep-executing only the [owned] shard indices and counting level-0
-   work iff [lead].  Always interpreted: the compiled tier is
-   bit-identical to the interpreted drivers, so a coordinator that ran
-   compiled still sums to the same counters.  The reply returns every
-   owned row (shaping is the coordinator's job) plus the slice's
-   counter deltas. *)
+(* One scatter slice: run the compiled sharded driver over the shard
+   view, deep-executing only the [owned] shard indices and counting
+   level-0 work iff [lead] ({!Lb_relalg.Compile.subset}).  An owned
+   index outside [0, shards) is a coordinator bug - dropping it would
+   silently lose that shard's rows - so it draws an error reply.  The
+   reply returns every owned row (shaping is the coordinator's job)
+   plus the slice's counter deltas. *)
 let exec_subquery t ~text ~engine ~shards ~owned ~lead =
   incr t "serve.dist.subqueries";
   let fail msg =
@@ -1110,75 +1106,59 @@ let exec_subquery t ~text ~engine ~shards ~owned ~lead =
           if shards < 2 then fail "\"shards\" must be >= 2"
           else if Array.length attrs = 0 then
             fail "subquery needs at least one variable"
+          else if Planner.compile_engine engine = None then
+            fail
+              (Printf.sprintf "engine %s is not distributable"
+                 (Planner.engine_name engine))
           else
-            let db = Catalog.database t.catalog in
-            match
-              Shard.view
-                ~hook:(Catalog.partition_hook t.catalog ~k:shards)
-                ~attr:attrs.(0) ~k:shards db q
-            with
-            | exception Invalid_argument msg -> fail msg
-            | view -> (
-                incr t "serve.shard.views";
-                let owned_arr = Array.make shards false in
-                List.iter
-                  (fun i ->
-                    if i >= 0 && i < shards then owned_arr.(i) <- true)
-                  owned;
-                let sink = Metrics.create () in
-                let ctx = Exec.make ?pool:t.config.pool ~metrics:sink () in
+            match List.find_opt (fun i -> i < 0 || i >= shards) owned with
+            | Some i ->
+                fail
+                  (Printf.sprintf "owned shard %d is out of range [0, %d)" i
+                     shards)
+            | None -> (
+                let db = Catalog.database t.catalog in
                 match
-                  match engine with
-                  | Planner.Generic_join ->
-                      let subset =
-                        {
-                          Lb_relalg.Generic_join.owned =
-                            (fun i -> owned_arr.(i));
-                          lead;
-                        }
-                      in
-                      Ok
-                        (Lb_relalg.Generic_join.run_sharded ~ctx ~view ~subset
-                           ~shards db q)
-                  | Planner.Leapfrog ->
-                      let subset =
-                        { Lb_relalg.Leapfrog.owned = (fun i -> owned_arr.(i));
-                          lead }
-                      in
-                      Ok
-                        (Lb_relalg.Leapfrog.run_sharded ~ctx ~view ~subset
-                           ~shards db q)
-                  | e ->
-                      Error
-                        (Printf.sprintf "engine %s is not distributable"
-                           (Planner.engine_name e))
+                  Shard.view
+                    ~hook:(Catalog.partition_hook t.catalog ~k:shards)
+                    ~attr:attrs.(0) ~k:shards db q
                 with
-                | Error msg -> fail msg
                 | exception Invalid_argument msg -> fail msg
-                | exception Failure msg -> fail msg
-                | Ok rel ->
-                    let ans = Ivm.canonical q rel in
-                    (* The slice's engine counters travel in the reply
-                       only: the coordinator sums them into the
-                       scattered task's sink, which [finish] merges
-                       into lifetime metrics exactly once - also when
-                       this slice is a local absorption of a dead
-                       worker's shards. *)
-                    Protocol.ok_fields_v2 ~op:"subquery"
-                      [
-                        ("version", Json.Int (Catalog.version t.catalog));
-                        ( "attributes",
-                          Json.List
-                            (List.map
-                               (fun a -> Json.String a)
-                               (Array.to_list ans.attributes)) );
-                        ("count", Json.Int (Array.length ans.rows));
-                        ( "rows",
-                          Json.List
-                            (List.map row_json (Array.to_list ans.rows)) );
-                        ( "counters",
-                          Protocol.counters_to_json (Metrics.counters sink) );
-                      ])))
+                | view -> (
+                    incr t "serve.shard.views";
+                    let owned_arr = Array.make shards false in
+                    List.iter (fun i -> owned_arr.(i) <- true) owned;
+                    let subset =
+                      { Lb_relalg.Compile.owned = (fun i -> owned_arr.(i)); lead }
+                    in
+                    let sink = Metrics.create () in
+                    let ctx = Exec.make ?pool:t.config.pool ~metrics:sink () in
+                    match run_wcoj ~ctx ~view ~subset ~shards engine db q with
+                    | exception Invalid_argument msg -> fail msg
+                    | exception Failure msg -> fail msg
+                    | rel ->
+                        let ans = Ivm.canonical q rel in
+                        (* The slice's engine counters travel in the reply
+                           only: the coordinator sums them into the
+                           scattered task's sink, which [finish] merges
+                           into lifetime metrics exactly once - also when
+                           this slice is a local absorption of a dead
+                           worker's shards. *)
+                        Protocol.ok_fields_v2 ~op:"subquery"
+                          [
+                            ("version", Json.Int (Catalog.version t.catalog));
+                            ( "attributes",
+                              Json.List
+                                (List.map
+                                   (fun a -> Json.String a)
+                                   (Array.to_list ans.attributes)) );
+                            ("count", Json.Int (Array.length ans.rows));
+                            ( "rows",
+                              Json.List
+                                (List.map row_json (Array.to_list ans.rows)) );
+                            ( "counters",
+                              Protocol.counters_to_json (Metrics.counters sink) );
+                          ]))))
 
 let wal_record_of_mutation = function
   | Protocol.Load { name; attrs; tuples } ->
@@ -1286,7 +1266,7 @@ let prepare t ~req_v (req : Protocol.request) =
                  [
                    ("shards", Json.Int t.config.shards);
                    ("batch", Json.Bool true);
-                   ("compile", Json.Bool t.config.compile);
+                   ("compile", Json.Bool true);
                    ("ivm", Json.Bool t.config.ivm);
                    ("durable", Json.Bool (t.durable <> None));
                    ("colsub", Json.Bool true);

@@ -51,13 +51,14 @@
     serves byte-identical answers with warm caches; torn or corrupt
     WAL tails are truncated ([serve.wal.repaired]), never fatal.
 
-    Compilation: with [config.compile] (the default), WCOJ plans carry
-    their {!Lb_relalg.Compile} IR - the plan lowered once to a
-    monomorphic loop nest - and executions run the compiled drivers,
-    bit-identical to the interpreted ones.  The IR lives in the plan
-    cache (entries charged by {!Lb_relalg.Compile.weight}), so repeated
-    queries skip lowering entirely: [serve.compile.misses] counts plans
-    lowered, [serve.compile.hits] compiled plans reused from cache.
+    Compilation: WCOJ plans carry their {!Lb_relalg.Compile} IR - the
+    plan lowered once to a monomorphic loop nest - and every WCOJ
+    execution (planned queries, IVM maintenance, a worker's
+    distributed slices) runs the compiled drivers.  The IR lives in the
+    plan cache (entries charged by {!Lb_relalg.Compile.weight}), so
+    repeated queries skip lowering entirely: [serve.compile.misses]
+    counts plans lowered, [serve.compile.hits] compiled plans reused
+    from cache.
 
     Determinism: answers are projected to the query's attribute order
     and sorted lexicographically, so equal queries produce
@@ -72,14 +73,10 @@ type config = {
   max_rows : int;  (** cap on rows returned in one reply *)
   pool : Lb_util.Pool.t option;  (** engine / window parallelism *)
   shards : int;
-      (** [> 1] runs WCOJ queries through the sharded drivers
-          ({!Lb_relalg.Generic_join.run_sharded}) against the catalog's
+      (** [> 1] runs WCOJ queries through the sharded driver
+          ({!Lb_relalg.Compile.run_sharded}) against the catalog's
           warm partitions; answers and counters are bit-identical to
           unsharded runs.  1 = off. *)
-  compile : bool;
-      (** run WCOJ queries through the compiled tier
-          ({!Lb_relalg.Compile}); [false] is the interpreted escape
-          hatch (`--no-compile`). *)
   ivm : bool;
       (** maintain cached results across writes via {!Ivm}; [false]
           (`--no-ivm`) invalidates instead. *)
@@ -138,9 +135,11 @@ val create : ?config:config -> unit -> t
     fallbacks). *)
 val set_dispatcher : t -> dispatcher -> unit
 
-(** Execute one scatter slice locally: the sharded interpreted WCOJ
+(** Execute one scatter slice locally: the compiled sharded WCOJ
     driver over shard [view]s, deep-executing only the [owned] shard
-    indices, with level-0 counters recorded iff [lead].  Returns the
+    indices, with level-0 counters recorded iff [lead].  An [owned]
+    index outside [\[0, shards)] is rejected with an error reply
+    (counted in [serve.errors]).  Returns the
     full [subquery] reply ({!Protocol.ok_fields_v2}) - the same shape a
     remote worker would send - so the coordinator has one merge path
     for live and absorbed slices. *)

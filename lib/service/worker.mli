@@ -3,7 +3,7 @@
     TCP.  The catalog is a full replica owned by its coordinator -
     seeded with [partition_load]*/[sync], kept in step with [apply] -
     and [subquery] deep-executes only the shard indices the
-    coordinator assigns ({!Lb_relalg.Generic_join.subset}).
+    coordinator assigns ({!Lb_relalg.Compile.subset}).
 
     A worker is also a complete standalone server: v1 clients can
     connect and query the replica directly. *)

@@ -1,10 +1,13 @@
-(* Differential tests for the plan compilation tier.
+(* Differential tests for the plan compilation tier, the one
+   production WCOJ driver.
 
    The contract under test: for every (query, database) pair and every
-   driver - sequential, Domain-parallel, sharded at k in {1,2,3,7} -
-   the compiled loop nest produces the same answers AND the same work
-   counters (intersections / seeks / emitted) as the interpreted
-   engines, with budget ticks landing at the same points (so partial
+   driver - sequential, Domain-parallel, sharded at k in {1,2,3,7},
+   and distributed slices summed over a cover of participants - the
+   compiled loop nest produces the same answers AND the same work
+   counters (intersections / seeks / emitted) as the sequential
+   interpreted engines, the reference oracle.  The sequential driver
+   also lands its budget ticks at the oracle's points (so partial
    counters after a mid-query exhaustion match too).  Instances reuse
    the generators and seeds of test_join_engine.ml. *)
 
@@ -213,19 +216,12 @@ let test_budget_exhaustion_partial_counters () =
       check Alcotest.int "lf ticks at exhaustion" tl tlc;
       check Alcotest.int "lf partial seeks" ls.Lf.seeks lc.C.work;
       check Alcotest.int "lf partial emitted" ls.Lf.emitted lc.C.emitted;
-      (* Sharded compiled vs sharded interpreted (the sharded drivers
-         defer leaf emission until after level-0 task generation, so
-         their partials legitimately differ from the unsharded run's -
-         but compiled and interpreted must still agree tick for
-         tick). *)
-      let cs3 = Gj.fresh_counters () in
-      let ti3 =
-        exhausted_ticks "interpreted sharded gj"
-          (Budget.protect (fun () ->
-               Gj.count_sharded ~counters:cs3
-                 ~ctx:(Exec.make ~budget:(Budget.create ~ticks ()) ())
-                 ~shards:3 db triangle))
-      in
+      (* Sharded: the driver defers leaf emission until after level-0
+         task generation, so its partials legitimately differ from the
+         unsharded run's.  Their values still follow from the budget:
+         the limit-th tick is the last one granted, and every Generic
+         Join work unit is counted immediately before its tick, so the
+         refused tick's unit is counted too. *)
       let cc3 = C.fresh_counters () in
       let t3 =
         exhausted_ticks "compiled sharded gj"
@@ -234,11 +230,79 @@ let test_budget_exhaustion_partial_counters () =
                  ~ctx:(Exec.make ~budget:(Budget.create ~ticks ()) ())
                  ~shards:3 ir db triangle))
       in
-      check Alcotest.int "sharded ticks at exhaustion" ti3 t3;
-      check Alcotest.int "sharded partial work" cs3.Gj.intersections
-        cc3.C.work;
-      check Alcotest.int "sharded partial emitted" cs3.Gj.emitted cc3.C.emitted)
+      check Alcotest.int "sharded ticks at exhaustion" ticks t3;
+      check Alcotest.int "sharded partial work" (ticks + 1) cc3.C.work;
+      check Alcotest.bool "sharded partial emitted within the full answer"
+        true
+        (cc3.C.emitted <= Gj.count db triangle))
     [ 5; 57; 351 ]
+
+(* --- distributed slices: a cover of participants sums to the oracle ---
+
+   Each participant runs the sharded driver over the shards it owns;
+   exactly one of them leads (accounts level 0 and the trie build).
+   The union of their rows must be the oracle's answer, and their
+   summed counters and metrics the oracle's. *)
+
+let test_subset_cover () =
+  let sorted m = List.sort compare (Metrics.counters m) in
+  List.iter
+    (fun shards ->
+      for seed = 1 to 40 do
+        let rng = Prng.create ((53 * seed) + shards) in
+        let q = random_query rng in
+        let db = random_db rng q in
+        let nparts = 1 + Prng.int rng 3 in
+        let owner = Array.init shards (fun _ -> Prng.int rng nparts) in
+        let lead = Prng.int rng nparts in
+        List.iter
+          (fun (eng, oracle_answer) ->
+            let ctxt =
+              Printf.sprintf "%s k=%d parts=%d seed %d, query %s"
+                (C.engine_name eng) shards nparts seed (Q.to_string q)
+            in
+            let mo = Metrics.create () in
+            let oracle = oracle_answer ~ctx:(Exec.make ~metrics:mo ()) db q in
+            (* every participant reports into one sink and one counter
+               record, which therefore hold the sums *)
+            let ms = Metrics.create () and sum = C.fresh_counters () in
+            let ctx = Exec.make ~metrics:ms () in
+            let ir = C.lower ~engine:eng q in
+            let rows =
+              List.concat_map
+                (fun p ->
+                  let subset =
+                    { C.owned = (fun s -> owner.(s) = p); lead = p = lead }
+                  in
+                  Array.to_list
+                    (R.tuples
+                       (C.run_sharded ~counters:sum ~ctx ~subset ~shards ir db q)))
+                (List.init nparts Fun.id)
+            in
+            check
+              Alcotest.(list (array int))
+              (ctxt ^ ": union of slices = oracle rows")
+              (Array.to_list (R.tuples oracle))
+              (List.sort R.compare_tuples rows);
+            check
+              Alcotest.(list (pair string int))
+              (ctxt ^ ": summed metrics (trie builds, work, emitted)")
+              (sorted mo) (sorted ms);
+            check Alcotest.int (ctxt ^ ": summed emitted counter")
+              (List.length rows) sum.C.emitted;
+            check
+              Alcotest.(option int)
+              (ctxt ^ ": summed work counter")
+              (Metrics.find_counter mo
+                 (C.engine_name eng
+                 ^ if eng = C.Generic then ".intersections" else ".seeks"))
+              (Some sum.C.work))
+          [
+            (C.Generic, fun ~ctx db q -> Gj.answer ~ctx db q);
+            (C.Leapfrog, fun ~ctx db q -> Lf.answer ~ctx db q);
+          ]
+      done)
+    [ 2; 3; 5 ]
 
 (* --- metrics sink parity: compiled paths report to the interpreted
    engines' metric names --- *)
@@ -291,6 +355,8 @@ let suite =
       test_differential_pooled;
     Alcotest.test_case "budget exhaustion: partial counters match" `Quick
       test_budget_exhaustion_partial_counters;
+    Alcotest.test_case "distributed slice covers sum to the oracle" `Quick
+      test_subset_cover;
     Alcotest.test_case "compiled reports interpreted metric names" `Quick
       test_metrics_names;
     Alcotest.test_case "lowered IR shape" `Quick test_lower_shape;

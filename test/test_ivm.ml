@@ -11,7 +11,7 @@
      per-relation versions, and dump/restore round-trips must agree.
    - Server IVM differential: the same random query/write session run
      against IVM-maintained servers under every driver (sequential,
-     pooled, sharded, interpreted) and an oracle server with IVM off
+     pooled, sharded) and an oracle server with IVM off
      must produce byte-identical answers, and maintenance must
      actually fire (serve.ivm.maintained > 0).
    - WAL fault injection: logs truncated at every record boundary, torn
@@ -380,7 +380,6 @@ let test_server_ivm_differential () =
             ("default", mk Server.default_config);
             ("pooled", mk { Server.default_config with pool = Some pool });
             ("sharded", mk { Server.default_config with shards = 3 });
-            ("interpreted", mk { Server.default_config with compile = false });
           ]
         in
         (* the oracle recomputes from scratch after every write *)

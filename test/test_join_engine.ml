@@ -7,16 +7,17 @@
      which shares no code with the trie engine).  Queries include unary
      atoms, repeated variables inside an atom, empty relations and
      cross products.
-   - Determinism: the Domain-parallel driver must produce the same
-     answer relation AND the same counter totals as the sequential
-     engine - on skewed (broom) inputs, where task splitting is
-     actually exercised, and on random inputs. *)
+   - Determinism: the Domain-parallel driver (the compiled tier's) must
+     produce the same answer relation AND the same counter totals as
+     the sequential engine - on skewed (broom) inputs, where task
+     splitting is actually exercised, and on random inputs. *)
 
 module Q = Lb_relalg.Query
 module R = Lb_relalg.Relation
 module Db = Lb_relalg.Database
 module Gj = Lb_relalg.Generic_join
 module Lf = Lb_relalg.Leapfrog
+module C = Lb_relalg.Compile
 module Pool = Lb_util.Pool
 module Exec = Lb_util.Exec
 module Prng = Lb_util.Prng
@@ -95,19 +96,21 @@ let broom_db n =
 
 let triangle = Q.parse "R(a,b), S(b,c), T(a,c)"
 
+(* The Domain-parallel driver is the compiled tier's; the sequential
+   interpreted engines are the reference it must reproduce. *)
 let test_parallel_matches_sequential_gj () =
   let db = broom_db 150 in
   let cs = Gj.fresh_counters () in
   let n_seq = Gj.count ~counters:cs db triangle in
   let ans_seq = Gj.answer db triangle in
+  let ir = C.lower ~engine:C.Generic triangle in
   Pool.with_pool 4 (fun pool ->
-      let cp = Gj.fresh_counters () in
-      let n_par = Gj.count ~counters:cp ~ctx:(Exec.make ~pool ()) db triangle in
+      let cp = C.fresh_counters () in
+      let n_par = C.count ~counters:cp ~ctx:(Exec.make ~pool ()) ir db triangle in
       check Alcotest.int "count" n_seq n_par;
-      check Alcotest.int "intersections counter" cs.Gj.intersections
-        cp.Gj.intersections;
-      check Alcotest.int "emitted counter" cs.Gj.emitted cp.Gj.emitted;
-      let ans_par = Gj.answer ~ctx:(Exec.make ~pool ()) db triangle in
+      check Alcotest.int "intersections counter" cs.Gj.intersections cp.C.work;
+      check Alcotest.int "emitted counter" cs.Gj.emitted cp.C.emitted;
+      let ans_par = C.answer ~ctx:(Exec.make ~pool ()) ir db triangle in
       check Alcotest.bool "answer relation" true (R.equal ans_seq ans_par))
 
 let test_parallel_matches_sequential_lf () =
@@ -115,13 +118,14 @@ let test_parallel_matches_sequential_lf () =
   let cs = Lf.fresh_counters () in
   let n_seq = Lf.count ~counters:cs db triangle in
   let ans_seq = Lf.answer db triangle in
+  let ir = C.lower ~engine:C.Leapfrog triangle in
   Pool.with_pool 4 (fun pool ->
-      let cp = Lf.fresh_counters () in
-      let n_par = Lf.count ~counters:cp ~ctx:(Exec.make ~pool ()) db triangle in
+      let cp = C.fresh_counters () in
+      let n_par = C.count ~counters:cp ~ctx:(Exec.make ~pool ()) ir db triangle in
       check Alcotest.int "count" n_seq n_par;
-      check Alcotest.int "seeks counter" cs.Lf.seeks cp.Lf.seeks;
-      check Alcotest.int "emitted counter" cs.Lf.emitted cp.Lf.emitted;
-      let ans_par = Lf.answer ~ctx:(Exec.make ~pool ()) db triangle in
+      check Alcotest.int "seeks counter" cs.Lf.seeks cp.C.work;
+      check Alcotest.int "emitted counter" cs.Lf.emitted cp.C.emitted;
+      let ans_par = C.answer ~ctx:(Exec.make ~pool ()) ir db triangle in
       check Alcotest.bool "answer relation" true (R.equal ans_seq ans_par))
 
 let test_parallel_random_instances () =
@@ -131,16 +135,17 @@ let test_parallel_random_instances () =
         let q = random_query rng in
         let db = random_db rng q in
         let ctxt = Printf.sprintf "seed %d, query %s" seed (Q.to_string q) in
+        let gj_ir = C.lower ~engine:C.Generic q in
         check Alcotest.int
           (Printf.sprintf "GJ par count (%s)" ctxt)
           (Gj.count db q)
-          (Gj.count ~ctx:(Exec.make ~pool ()) db q);
+          (C.count ~ctx:(Exec.make ~pool ()) gj_ir db q);
         check Alcotest.int
           (Printf.sprintf "LFTJ par count (%s)" ctxt)
           (Lf.count db q)
-          (Lf.count ~ctx:(Exec.make ~pool ()) db q);
-        if not (R.equal (Gj.answer db q) (Gj.answer ~ctx:(Exec.make ~pool ()) db q)) then
-          Alcotest.failf "GJ par answer differs (%s)" ctxt
+          (C.count ~ctx:(Exec.make ~pool ()) (C.lower ~engine:C.Leapfrog q) db q);
+        if not (R.equal (Gj.answer db q) (C.answer ~ctx:(Exec.make ~pool ()) gj_ir db q))
+        then Alcotest.failf "GJ par answer differs (%s)" ctxt
       done)
 
 (* a pool of size 1 must behave exactly like no pool at all *)
@@ -149,11 +154,13 @@ let test_pool_of_one_is_sequential () =
   Pool.with_pool 1 (fun pool ->
       let cs = Gj.fresh_counters () in
       let n_seq = Gj.count ~counters:cs db triangle in
-      let cp = Gj.fresh_counters () in
-      let n_par = Gj.count ~counters:cp ~ctx:(Exec.make ~pool ()) db triangle in
+      let cp = C.fresh_counters () in
+      let n_par =
+        C.count ~counters:cp ~ctx:(Exec.make ~pool ())
+          (C.lower ~engine:C.Generic triangle) db triangle
+      in
       check Alcotest.int "count" n_seq n_par;
-      check Alcotest.int "intersections" cs.Gj.intersections
-        cp.Gj.intersections)
+      check Alcotest.int "intersections" cs.Gj.intersections cp.C.work)
 
 let suite =
   [

@@ -22,6 +22,7 @@ module Rel = Lb_relalg.Relation
 module Db = Lb_relalg.Database
 module Gj = Lb_relalg.Generic_join
 module Lf = Lb_relalg.Leapfrog
+module C = Lb_relalg.Compile
 
 (* --- the runner --- *)
 
@@ -217,13 +218,23 @@ let joins_vs_oracle () =
       && Rel.equal_modulo_order (Gj.answer db q) oracle
       && Rel.equal_modulo_order (Lf.answer db q) oracle)
 
+(* The compiled tier's Domain-parallel driver against the sequential
+   interpreted oracle: same count, same work counters. *)
 let joins_parallel_vs_sequential () =
   check ~name:"gj_pool_vs_sequential" ~base:0x32 ~max_size:8 gen_cq
     show_cq (fun (db, q) ->
-      let n = Gj.count db q in
+      let gc = Gj.fresh_counters () and lc = Lf.fresh_counters () in
+      let n = Gj.count ~counters:gc db q in
+      let nl = Lf.count ~counters:lc db q in
       Lb_util.Pool.with_pool 2 (fun pool ->
-          Gj.count ~ctx:(Lb_util.Exec.make ~pool ()) db q = n
-          && Lf.count ~ctx:(Lb_util.Exec.make ~pool ()) db q = n))
+          let ctx = Lb_util.Exec.make ~pool () in
+          let pooled engine =
+            let c = C.fresh_counters () in
+            let k = C.count ~counters:c ~ctx (C.lower ~engine q) db q in
+            (k, c.C.work, c.C.emitted)
+          in
+          pooled C.Generic = (n, gc.Gj.intersections, gc.Gj.emitted)
+          && pooled C.Leapfrog = (nl, lc.Lf.seeks, lc.Lf.emitted)))
 
 (* --- reduction round-trips --- *)
 
@@ -398,10 +409,10 @@ module Exec = Lb_util.Exec
 let counters_list m =
   List.sort compare (Lb_util.Metrics.counters m)
 
-(* For every k, the sharded drivers must reproduce the unsharded run
-   bit-for-bit: same answer relation, same engine counters, same
-   metrics deltas.  Exercised with and without a pool (the pool path
-   also covers the unit merge order). *)
+(* For every k, the compiled sharded driver must reproduce the
+   sequential interpreted oracle bit-for-bit: same answer relation,
+   same engine counters, same metrics deltas.  Exercised with and
+   without a pool (the pool path also covers the unit merge order). *)
 let sharded_bit_identical ?(ks = [ 1; 2; 3; 7 ]) (db, q) =
   let gj_ref = Gj.fresh_counters () in
   let gj_sink = Lb_util.Metrics.create () in
@@ -411,46 +422,48 @@ let sharded_bit_identical ?(ks = [ 1; 2; 3; 7 ]) (db, q) =
   let lf_sink = Lb_util.Metrics.create () in
   let lf_ans = Lf.answer ~ctx:(Exec.make ~metrics:lf_sink ()) db q in
   ignore (Lf.count ~counters:lf_ref db q);
+  let gj_ir = C.lower ~engine:C.Generic q in
+  let lf_ir = C.lower ~engine:C.Leapfrog q in
   List.for_all
     (fun k ->
-      let gj_c = Gj.fresh_counters () in
+      let gj_c = C.fresh_counters () in
       let gj_sk = Lb_util.Metrics.create () in
       let gj_shard =
-        Gj.run_sharded
+        C.run_sharded
           ~ctx:(Exec.make ~metrics:gj_sk ())
-          ~counters:gj_c ~shards:k db q
+          ~counters:gj_c ~shards:k gj_ir db q
       in
-      let lf_c = Lf.fresh_counters () in
+      let lf_c = C.fresh_counters () in
       let lf_sk = Lb_util.Metrics.create () in
       let lf_shard =
-        Lf.run_sharded
+        C.run_sharded
           ~ctx:(Exec.make ~metrics:lf_sk ())
-          ~counters:lf_c ~shards:k db q
+          ~counters:lf_c ~shards:k lf_ir db q
       in
       let pooled_equal =
         Lb_util.Pool.with_pool 2 (fun pool ->
-            let pc = Gj.fresh_counters () in
+            let pc = C.fresh_counters () in
             let n =
-              Gj.count_sharded ~ctx:Exec.(default |> with_pool pool)
-                ~counters:pc ~shards:k db q
+              C.count_sharded ~ctx:Exec.(default |> with_pool pool)
+                ~counters:pc ~shards:k gj_ir db q
             in
             n = gj_ref.Gj.emitted
-            && pc.Gj.intersections = gj_ref.Gj.intersections
+            && pc.C.work = gj_ref.Gj.intersections
             &&
-            let lc = Lf.fresh_counters () in
+            let lc = C.fresh_counters () in
             let nl =
-              Lf.count_sharded ~ctx:Exec.(default |> with_pool pool)
-                ~counters:lc ~shards:k db q
+              C.count_sharded ~ctx:Exec.(default |> with_pool pool)
+                ~counters:lc ~shards:k lf_ir db q
             in
-            nl = lf_ref.Lf.emitted && lc.Lf.seeks = lf_ref.Lf.seeks)
+            nl = lf_ref.Lf.emitted && lc.C.work = lf_ref.Lf.seeks)
       in
       Rel.equal gj_shard gj_ans
-      && gj_c.Gj.intersections = gj_ref.Gj.intersections
-      && gj_c.Gj.emitted = gj_ref.Gj.emitted
+      && gj_c.C.work = gj_ref.Gj.intersections
+      && gj_c.C.emitted = gj_ref.Gj.emitted
       && counters_list gj_sk = counters_list gj_sink
       && Rel.equal lf_shard lf_ans
-      && lf_c.Lf.seeks = lf_ref.Lf.seeks
-      && lf_c.Lf.emitted = lf_ref.Lf.emitted
+      && lf_c.C.work = lf_ref.Lf.seeks
+      && lf_c.C.emitted = lf_ref.Lf.emitted
       && counters_list lf_sk = counters_list lf_sink
       && pooled_equal)
     ks

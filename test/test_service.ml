@@ -473,6 +473,45 @@ let test_protocol_versioning () =
   let reply = Json.parse (Server.handle_line wrk {|{"op":"ping","v":2}|}) in
   expect_ok "v2 ping on a worker" reply
 
+(* A worker's subquery slice: a full cover (every shard owned, lead)
+   answers like the oracle; an owned index outside [0, shards) - from a
+   buggy coordinator - draws a structured error counted in
+   serve.errors instead of silently dropping that shard's rows. *)
+let test_subquery_owned_validation () =
+  let wrk = Worker.create () in
+  let rng = Prng.create 77 in
+  let edges = List.init 50 (fun _ -> [ Prng.int rng 10; Prng.int rng 10 ]) in
+  ignore (handle_ok wrk "load E" (load_req "E" [ "u"; "v" ] edges));
+  let text = "E(x,y), E(y,z), E(z,x)" in
+  let subquery owned =
+    Json.parse
+      (Server.handle_line wrk
+         (Printf.sprintf
+            {|{"v":2,"op":"subquery","q":%s,"engine":"generic_join","shards":3,"owned":[%s],"lead":true}|}
+            (Json.to_string (Json.String text))
+            owned))
+  in
+  let whole = subquery "0,1,2" in
+  expect_ok "full cover" whole;
+  let q = Q.parse text in
+  let db = Catalog.database (Server.catalog wrk) in
+  check
+    Alcotest.(list (array int))
+    "full cover rows equal the oracle's"
+    (canonical_rows q (Lb_relalg.Generic_join.answer db q))
+    (rows_of_response whole);
+  let errors () =
+    Option.value ~default:0
+      (Metrics.find_counter (Server.metrics wrk) "serve.errors")
+  in
+  List.iteri
+    (fun i owned ->
+      let reply = subquery owned in
+      check Alcotest.string ("owned [" ^ owned ^ "] rejected") "error"
+        (status reply);
+      check Alcotest.int ("owned [" ^ owned ^ "] counted") (i + 1) (errors ()))
+    [ "3"; "-1"; "0,1,2,3" ]
+
 let test_hello_capabilities () =
   let config = { Server.default_config with shards = 4 } in
   let srv = Server.create ~config () in
@@ -657,46 +696,42 @@ let test_sharded_server_bit_identical () =
 
 (* --- the compiled plan tier through the server --- *)
 
-(* A compiled server and a --no-compile server must be observationally
-   identical (rows, counts, engine work counters); the compiled one
-   reports "compiled":true in its plan and accounts compilation cache
-   traffic: one serve.compile.miss for the first lowering, then a
-   serve.compile.hit per reuse of the cached plan - also when the
-   answer itself comes from the result cache, since the plan cache is
-   consulted first. *)
+(* Served WCOJ answers come from the compiled tier; they must equal the
+   in-process sequential interpreted oracle on the same catalog - rows
+   and the engine work counter by value.  The plan reports
+   "compiled":true and accounts compilation cache traffic: one
+   serve.compile.miss for the first lowering, then a serve.compile.hit
+   per reuse of the cached plan - also when the answer itself comes
+   from the result cache, since the plan cache is consulted first. *)
 let test_compile_tier_served () =
   let rng = Prng.create 4242 in
   let edges = List.init 60 (fun _ -> [ Prng.int rng 12; Prng.int rng 12 ]) in
+  let q = Q.parse triangle_text in
   List.iter
     (fun (engine, work_counter) ->
       let compiled = Server.create () in
-      let interpreted =
-        Server.create
-          ~config:{ Server.default_config with compile = false }
-          ()
-      in
-      List.iter
-        (fun srv ->
-          ignore (handle_ok srv "load E" (load_req "E" [ "u"; "v" ] edges)))
-        [ compiled; interpreted ];
+      ignore (handle_ok compiled "load E" (load_req "E" [ "u"; "v" ] edges));
       let r0 = handle_ok compiled "compiled" (query_req ~engine triangle_text) in
-      let r1 =
-        handle_ok interpreted "interpreted" (query_req ~engine triangle_text)
-      in
       let ctxt = Planner.engine_name engine in
       (match field "compiled" (field "plan" r0) with
       | Json.Bool true -> ()
       | _ -> Alcotest.fail (ctxt ^ ": plan not marked compiled"));
-      (match field "compiled" (field "plan" r1) with
-      | Json.Bool false -> ()
-      | _ -> Alcotest.fail (ctxt ^ ": --no-compile plan marked compiled"));
-      check Alcotest.string (ctxt ^ ": identical rows")
-        (Json.to_string (field "rows" r0))
-        (Json.to_string (field "rows" r1));
+      let sink = Metrics.create () in
+      let oracle =
+        let db = Catalog.database (Server.catalog compiled) in
+        let ctx = Lb_util.Exec.make ~metrics:sink () in
+        match engine with
+        | Planner.Leapfrog -> Lb_relalg.Leapfrog.answer ~ctx db q
+        | _ -> Lb_relalg.Generic_join.answer ~ctx db q
+      in
+      check
+        Alcotest.(list (array int))
+        (ctxt ^ ": rows equal the sequential oracle's")
+        (canonical_rows q oracle) (rows_of_response r0);
       check
         Alcotest.(option int)
-        (ctxt ^ ": " ^ work_counter ^ " bit-identical")
-        (Metrics.find_counter (Server.metrics interpreted) work_counter)
+        (ctxt ^ ": " ^ work_counter ^ " equals the oracle's")
+        (Metrics.find_counter sink work_counter)
         (Metrics.find_counter (Server.metrics compiled) work_counter);
       let counter name = Metrics.find_counter (Server.metrics compiled) name in
       check
@@ -714,13 +749,7 @@ let test_compile_tier_served () =
       check
         Alcotest.(option int)
         (ctxt ^ ": no second lowering")
-        (Some 1) (counter "serve.compile.misses");
-      check
-        Alcotest.(option int)
-        (ctxt ^ ": interpreted server never compiles")
-        None
-        (Metrics.find_counter (Server.metrics interpreted)
-           "serve.compile.misses"))
+        (Some 1) (counter "serve.compile.misses"))
     [
       (Planner.Generic_join, "generic_join.intersections");
       (Planner.Leapfrog, "leapfrog.seeks");
@@ -770,6 +799,8 @@ let suite =
       test_serve_pipe_session;
     Alcotest.test_case "count_only and limit shaping" `Quick
       test_response_shaping;
+    Alcotest.test_case "subquery rejects owned shards out of range" `Quick
+      test_subquery_owned_validation;
     Alcotest.test_case "protocol v1 version stamping" `Quick
       test_protocol_versioning;
     Alcotest.test_case "hello capability discovery" `Quick
