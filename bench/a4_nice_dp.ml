@@ -11,6 +11,7 @@ module Prng = Lb_util.Prng
 let run () =
   let rows = ref [] in
   let mtr = Lb_util.Metrics.create () in
+  let ctx = Lb_util.Exec.make ~metrics:mtr () in
   List.iter
     (fun (nvars, width, d) ->
       let rng = Harness.rng (nvars + d) in
@@ -23,11 +24,11 @@ let run () =
       let c1 = ref 0 and c2 = ref 0 in
       let t_direct =
         Harness.median_time 3 (fun () ->
-            c1 := Lb_csp.Freuder.count ~decomposition:td ~metrics:mtr csp)
+            c1 := Lb_csp.Freuder.count ~decomposition:td ~ctx csp)
       in
       let t_nice =
         Harness.median_time 3 (fun () ->
-            c2 := Lb_csp.Freuder_nice.count ~decomposition:td ~metrics:mtr csp)
+            c2 := Lb_csp.Freuder_nice.count ~decomposition:td ~ctx csp)
       in
       assert (!c1 = !c2);
       rows :=

@@ -9,7 +9,7 @@ module Gen = Lb_csp.Generators
 module Freuder = Lb_csp.Freuder
 module Prng = Lb_util.Prng
 
-let bench_domain_sweep m width domains nvars =
+let bench_domain_sweep ctx width domains nvars =
   let rng = Harness.rng (1000 + width) in
   List.map
     (fun d ->
@@ -22,7 +22,7 @@ let bench_domain_sweep m width domains nvars =
       let _, order = Lb_graph.Treewidth.heuristic_upper_bound g in
       let td = Lb_graph.Tree_decomposition.of_elimination_order g order in
       let count, t =
-        Harness.time (fun () -> Freuder.count ~decomposition:td ~metrics:m csp)
+        Harness.time (fun () -> Freuder.count ~decomposition:td ~ctx csp)
       in
       (d, count, t))
     domains
@@ -40,9 +40,10 @@ let run () =
   let rows = ref [] in
   let verdict_parts = ref [] in
   let m = Lb_util.Metrics.create () in
+  let ctx = Lb_util.Exec.make ~metrics:m () in
   List.iter
     (fun (width, domains) ->
-      let results = bench_domain_sweep m width domains nvars in
+      let results = bench_domain_sweep ctx width domains nvars in
       List.iter
         (fun (d, count, t) ->
           rows :=

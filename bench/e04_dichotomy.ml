@@ -22,12 +22,13 @@ let run () =
   let rng = Harness.rng 2024 in
   let rows = ref [] in
   let m = Lb_util.Metrics.create () in
+  let ctx = Lb_util.Exec.make ~metrics:m () in
   (* paths with growing length *)
   let path_times =
     List.map
       (fun n ->
         let csp = instance rng (Graph_gen.path n) d in
-        let _, t = Harness.time (fun () -> Freuder.solvable ~metrics:m csp) in
+        let _, t = Harness.time (fun () -> Freuder.solvable ~ctx csp) in
         (n, t))
       (Harness.sizes [ 8; 16; 32; 64 ])
   in
@@ -40,7 +41,7 @@ let run () =
     List.map
       (fun k ->
         let csp = instance rng (Graph_gen.clique k) d in
-        let _, t = Harness.time (fun () -> Freuder.solvable ~metrics:m csp) in
+        let _, t = Harness.time (fun () -> Freuder.solvable ~ctx csp) in
         (k, t))
       (* kept full even under --smoke: the exponential-vs-flat verdict
          needs the clique family to reach its blow-up regime, and the

@@ -54,6 +54,7 @@ let run () =
   (* the Theorem 7.2 reduction *)
   let red_rows = ref [] in
   let m = Lb_util.Metrics.create () in
+  let ctx = Lb_util.Exec.make ~metrics:m () in
   List.iter
     (fun (t_target, g_group) ->
       let graph = Gen.gnp (Harness.rng 5) 9 0.25 in
@@ -64,7 +65,7 @@ let run () =
       let csp_answer = ref None in
       let time_csp =
         Harness.median_time 3 (fun () ->
-            csp_answer := Lb_csp.Solver.solve ~metrics:m csp)
+            csp_answer := Lb_csp.Solver.solve ~ctx csp)
       in
       let brute = Ds.solve_bruteforce graph t_target in
       let agree = (!csp_answer <> None) = (brute <> None) in

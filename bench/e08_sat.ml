@@ -23,6 +23,7 @@ let run () =
   (* exponential family: random 3SAT at the transition *)
   let rows = ref [] in
   let mtr = Lb_util.Metrics.create () in
+  let ctx = Lb_util.Exec.make ~metrics:mtr () in
   let results =
     List.map
       (fun n ->
@@ -35,7 +36,7 @@ let run () =
               let stats = Dpll.fresh_stats () in
               let sat = ref None in
               let _, t =
-                Harness.time (fun () -> sat := Dpll.solve ~stats ~metrics:mtr f)
+                Harness.time (fun () -> sat := Dpll.solve ~stats ~ctx f)
               in
               (t, stats.Dpll.decisions, !sat <> None))
         in

@@ -50,8 +50,7 @@ let symmetric_worst_case n =
    counting through the Int kernel.  Entries of the partial products
    are bounded by domain^{i-1} (s^5 = N^2.5 here), far below the
    documented 2^62 overflow bound of [Matrix.Int.mul]. *)
-let count_matmul ?metrics db =
-  let ctx = Lb_util.Exec.make ?metrics () in
+let count_matmul ~ctx db =
   let mat name =
     let r = Lb_relalg.Database.find db name in
     let dom =
@@ -93,7 +92,8 @@ let run () =
       assert (!count_gj = !count_fr);
       let count_mm = ref 0 in
       let t_mm =
-        Harness.time (fun () -> count_mm := count_matmul ~metrics:mtr db) |> snd
+        let ctx = Lb_util.Exec.make ~metrics:mtr () in
+        Harness.time (fun () -> count_mm := count_matmul ~ctx db) |> snd
       in
       assert (!count_mm = !count_gj);
       answer_total := !answer_total + !count_gj;

@@ -24,6 +24,7 @@ let specs =
 let run () =
   let rows = ref [] in
   let mtr = Lb_util.Metrics.create () in
+  let ctx = Lb_util.Exec.make ~metrics:mtr () in
   let bases = ref [] in
   List.iter
     (fun (k, ratio, ns) ->
@@ -37,7 +38,7 @@ let run () =
                   let f = Cnf.random_ksat rng ~nvars:n ~nclauses:m ~k in
                   snd
                     (Lb_util.Stopwatch.time (fun () ->
-                         Dpll.solve ~metrics:mtr f)))
+                         Dpll.solve ~ctx f)))
             in
             let median = List.nth (List.sort compare times) 1 in
             rows :=

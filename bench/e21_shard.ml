@@ -77,7 +77,7 @@ let run () =
           let cp = C.fresh_counters () in
           let countp =
             C.count_sharded ~counters:cp
-              ~ctx:Exec.(default |> with_pool pool)
+              ~ctx:(Exec.make ~pool ())
               ~shards:3 gj_ir db q
           in
           if countp <> count0 || cp.C.work <> c0.Gj.intersections then

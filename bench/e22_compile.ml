@@ -80,7 +80,7 @@ let run () =
           let cp = C.fresh_counters () in
           let countp =
             C.count ~counters:cp
-              ~ctx:Exec.(default |> with_pool pool)
+              ~ctx:(Exec.make ~pool ())
               gj_ir db q
           in
           if countp <> count0 || cp.C.work <> ci.Gj.intersections then
@@ -102,7 +102,7 @@ let run () =
       in
       let pc, pg =
         partial (fun budget who ->
-            let ctx = Exec.(default |> with_budget budget) in
+            let ctx = Exec.make ~budget () in
             match who with
             | `Compiled c -> C.count ~counters:c ~ctx gj_ir db q
             | `Interpreted gc -> Gj.count ~counters:gc ~ctx db q)

@@ -231,7 +231,9 @@ let matmul_experiment =
               let c name = Option.value ~default:0 (Metrics.find_counter m name) in
               (c "matmul.words", c "matmul.table_builds")
             in
-            let wn, _ = count (fun m -> B.mul_naive ~metrics:m a b) in
+            let wn, _ =
+              count (fun m -> B.mul_naive ~ctx:(Lb_util.Exec.make ~metrics:m ()) a b)
+            in
             let wb, _ =
               count (fun m -> B.mul_blocked ~ctx:(Lb_util.Exec.make ~metrics:m ()) a b)
             in

@@ -551,7 +551,9 @@ let sat_cmd =
           else begin
             comment "dispatching to DPLL";
             Lb_util.Budget.protect (fun () ->
-                Lb_sat.Dpll.solve ?budget ~metrics f)
+                Lb_sat.Dpll.solve
+                  ~ctx:(Lb_util.Exec.make ?budget ~metrics ())
+                  f)
           end
         in
         let emit_metrics () =

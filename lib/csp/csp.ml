@@ -88,7 +88,8 @@ let hypergraph t =
 (* Exhaustive search in variable order 0..n-1, checking each constraint
    as soon as its last scope variable is assigned.  Worst case
    |D|^{|V|}; the early checks only prune, never skip, assignments. *)
-let solve_bruteforce ?budget t =
+let solve_bruteforce ?(ctx = Lb_util.Exec.default) t =
+  let budget = ctx.Lb_util.Exec.budget in
   let tick () =
     match budget with Some b -> Lb_util.Budget.tick b | None -> ()
   in
@@ -140,7 +141,8 @@ let solve_bruteforce ?budget t =
     if go 0 then Some (Array.copy a) else None
   end
 
-let count_bruteforce ?budget t =
+let count_bruteforce ?(ctx = Lb_util.Exec.default) t =
+  let budget = ctx.Lb_util.Exec.budget in
   let tick () =
     match budget with Some b -> Lb_util.Budget.tick b | None -> ()
   in

@@ -41,12 +41,12 @@ val hypergraph : t -> Lb_hypergraph.Hypergraph.t
 
 (** Exhaustive search in variable order with early constraint checking;
     worst case [|D|^{|V|}].  The baseline of Sections 5-7.  Ticks
-    [budget] once per value attempt (raising
+    [ctx]'s budget once per value attempt (raising
     {!Lb_util.Budget.Budget_exhausted} when spent). *)
-val solve_bruteforce : ?budget:Lb_util.Budget.t -> t -> int array option
+val solve_bruteforce : ?ctx:Lb_util.Exec.t -> t -> int array option
 
-(** Exhaustive solution count (tests only); ticks [budget] once per
-    assignment. *)
-val count_bruteforce : ?budget:Lb_util.Budget.t -> t -> int
+(** Exhaustive solution count (tests only); ticks [ctx]'s budget once
+    per assignment. *)
+val count_bruteforce : ?ctx:Lb_util.Exec.t -> t -> int
 
 val pp : Format.formatter -> t -> unit

@@ -73,9 +73,8 @@ let separator_positions bag parent_bag =
     bag;
   Array.of_list (List.rev !ps)
 
-let run ?decomposition ?ctx ?budget ?metrics (csp : Csp.t) =
-  let ex = Lb_util.Exec.resolve ?ctx ?budget ?metrics () in
-  let budget = ex.Lb_util.Exec.budget and metrics = ex.Lb_util.Exec.metrics in
+let run ?decomposition ?(ctx = Lb_util.Exec.default) (csp : Csp.t) =
+  let budget = ctx.Lb_util.Exec.budget and metrics = ctx.Lb_util.Exec.metrics in
   (* ticked once per enumerated bag assignment - the |D|^{k+1} unit of
      Theorem 4.2's cost accounting *)
   let tick () = match budget with Some b -> Budget.tick b | None -> () in
@@ -198,26 +197,26 @@ let run ?decomposition ?ctx ?budget ?metrics (csp : Csp.t) =
    variable may appear in several children of one bag; the decomposition
    property forces it into the bag itself, hence into both separators,
    so it is never double-counted. *)
-let count ?decomposition ?ctx ?budget ?metrics (csp : Csp.t) =
+let count ?decomposition ?ctx (csp : Csp.t) =
   if Csp.nvars csp = 0 then
     (if Csp.constraints csp = [] then 1 else if List.for_all (fun (c : Csp.constraint_) -> c.allowed <> []) (Csp.constraints csp) then 1 else 0)
   else begin
-    let t = run ?decomposition ?ctx ?budget ?metrics csp in
+    let t = run ?decomposition ?ctx csp in
     let root = t.order.(0) in
     Hashtbl.fold (fun _ c acc -> sat_add acc c) t.bag_tables.(root) 0
   end
 
-let solvable ?decomposition ?ctx ?budget ?metrics csp =
-  count ?decomposition ?ctx ?budget ?metrics csp > 0
+let solvable ?decomposition ?ctx csp =
+  count ?decomposition ?ctx csp > 0
 
 (* Extract one solution by walking the tables top-down. *)
-let solve ?decomposition ?ctx ?budget ?metrics (csp : Csp.t) =
+let solve ?decomposition ?ctx (csp : Csp.t) =
   let n = Csp.nvars csp in
   if n = 0 then
-    if count ?decomposition ?ctx ?budget ?metrics csp > 0 then Some [||]
+    if count ?decomposition ?ctx csp > 0 then Some [||]
     else None
   else begin
-    let t = run ?decomposition ?ctx ?budget ?metrics csp in
+    let t = run ?decomposition ?ctx csp in
     let td = t.decomposition in
     let bags = Td.bags td in
     let root = t.order.(0) in
@@ -256,8 +255,8 @@ let solve ?decomposition ?ctx ?budget ?metrics (csp : Csp.t) =
     end
   end
 
-let count_bounded ?decomposition ?ctx ?budget ?metrics csp =
-  Budget.protect (fun () -> count ?decomposition ?ctx ?budget ?metrics csp)
+let count_bounded ?decomposition ?ctx csp =
+  Budget.protect (fun () -> count ?decomposition ?ctx csp)
 
-let solve_bounded ?decomposition ?ctx ?budget ?metrics csp =
-  Budget.protect (fun () -> solve ?decomposition ?ctx ?budget ?metrics csp)
+let solve_bounded ?decomposition ?ctx csp =
+  Budget.protect (fun () -> solve ?decomposition ?ctx csp)

@@ -8,12 +8,8 @@
     (the |D|^{k+1} cost unit) and raises
     {!Lb_util.Budget.Budget_exhausted} when it runs out; the [*_bounded]
     forms reify that as [Exhausted].  [metrics] receives [freuder.bags]
-    and [freuder.bag_assignments].
-
-    Resources may also be passed as a single [?ctx]
-    ({!Lb_util.Exec.t}); [?budget] / [?metrics] remain as thin
-    deprecated wrappers, an explicit one overriding the corresponding
-    [ctx] field (see {!Lb_util.Exec.resolve}). *)
+    and [freuder.bag_assignments].  Both come from [?ctx]
+    ({!Lb_util.Exec.t}, default {!Lb_util.Exec.default}). *)
 
 val count_cap : int
 
@@ -28,8 +24,6 @@ val decompose : Csp.t -> Lb_graph.Tree_decomposition.t
 val run :
   ?decomposition:Lb_graph.Tree_decomposition.t ->
   ?ctx:Lb_util.Exec.t ->
-  ?budget:Lb_util.Budget.t ->
-  ?metrics:Lb_util.Metrics.t ->
   Csp.t ->
   tables
 
@@ -37,16 +31,12 @@ val run :
 val count :
   ?decomposition:Lb_graph.Tree_decomposition.t ->
   ?ctx:Lb_util.Exec.t ->
-  ?budget:Lb_util.Budget.t ->
-  ?metrics:Lb_util.Metrics.t ->
   Csp.t ->
   int
 
 val solvable :
   ?decomposition:Lb_graph.Tree_decomposition.t ->
   ?ctx:Lb_util.Exec.t ->
-  ?budget:Lb_util.Budget.t ->
-  ?metrics:Lb_util.Metrics.t ->
   Csp.t ->
   bool
 
@@ -54,23 +44,17 @@ val solvable :
 val solve :
   ?decomposition:Lb_graph.Tree_decomposition.t ->
   ?ctx:Lb_util.Exec.t ->
-  ?budget:Lb_util.Budget.t ->
-  ?metrics:Lb_util.Metrics.t ->
   Csp.t ->
   int array option
 
 val count_bounded :
   ?decomposition:Lb_graph.Tree_decomposition.t ->
   ?ctx:Lb_util.Exec.t ->
-  ?budget:Lb_util.Budget.t ->
-  ?metrics:Lb_util.Metrics.t ->
   Csp.t ->
   int Lb_util.Budget.outcome
 
 val solve_bounded :
   ?decomposition:Lb_graph.Tree_decomposition.t ->
   ?ctx:Lb_util.Exec.t ->
-  ?budget:Lb_util.Budget.t ->
-  ?metrics:Lb_util.Metrics.t ->
   Csp.t ->
   int array option Lb_util.Budget.outcome

@@ -35,7 +35,8 @@ let position bag v =
   Array.iteri (fun i u -> if u = v then p := i) bag;
   !p
 
-let count ?decomposition ?budget ?(metrics = Metrics.disabled) (csp : Csp.t) =
+let count ?decomposition ?(ctx = Lb_util.Exec.default) (csp : Csp.t) =
+  let budget = ctx.Lb_util.Exec.budget and metrics = ctx.Lb_util.Exec.metrics in
   (* ticked once per table entry touched at an introduce node - the
      work unit of the normal-form DP *)
   let tick () = match budget with Some b -> Budget.tick b | None -> () in
@@ -160,8 +161,8 @@ let count ?decomposition ?budget ?(metrics = Metrics.disabled) (csp : Csp.t) =
     Hashtbl.fold (fun _ c acc -> sat_add acc c) root_table 0
   end
 
-let solvable ?decomposition ?budget ?metrics csp =
-  count ?decomposition ?budget ?metrics csp > 0
+let solvable ?decomposition ?ctx csp =
+  count ?decomposition ?ctx csp > 0
 
-let count_bounded ?decomposition ?budget ?metrics csp =
-  Budget.protect (fun () -> count ?decomposition ?budget ?metrics csp)
+let count_bounded ?decomposition ?ctx csp =
+  Budget.protect (fun () -> count ?decomposition ?ctx csp)

@@ -34,10 +34,10 @@ let to_csp a b =
 (* Decide HOM(A, B) through the core and the treewidth DP.  Returns a
    homomorphism from the FULL structure A when one exists: a witness on
    the core composes with the retraction A -> core(A). *)
-let decide ?budget ?metrics a b =
+let decide ?ctx a b =
   let core, mapping = Lb_structure.Core_struct.core a in
   let csp = to_csp core b in
-  match Freuder.solve ?budget ?metrics csp with
+  match Freuder.solve ?ctx csp with
   | None -> None
   | Some core_sol -> (
       (* compose the retraction A -> core(A) (a homomorphism into the
@@ -50,16 +50,16 @@ let decide ?budget ?metrics a b =
 
 (* Count homomorphisms A -> B exactly, by the treewidth DP on A itself
    (cores do not preserve counts). *)
-let count ?budget ?metrics a b = Freuder.count ?budget ?metrics (to_csp a b)
+let count ?ctx a b = Freuder.count ?ctx (to_csp a b)
 
 (* Brute-force count for cross-checks. *)
-let count_bruteforce ?budget a b = Csp.count_bruteforce ?budget (to_csp a b)
+let count_bruteforce ?ctx a b = Csp.count_bruteforce ?ctx (to_csp a b)
 
-let decide_bounded ?budget ?metrics a b =
-  Lb_util.Budget.protect (fun () -> decide ?budget ?metrics a b)
+let decide_bounded ?ctx a b =
+  Lb_util.Budget.protect (fun () -> decide ?ctx a b)
 
-let count_bounded ?budget ?metrics a b =
-  Lb_util.Budget.protect (fun () -> count ?budget ?metrics a b)
+let count_bounded ?ctx a b =
+  Lb_util.Budget.protect (fun () -> count ?ctx a b)
 
 (* The Theorem 5.3 parameter for a class represented by one structure:
    treewidth of the core's Gaifman graph. *)

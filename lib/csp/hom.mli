@@ -9,11 +9,11 @@ val to_csp : Lb_structure.Structure.t -> Lb_structure.Structure.t -> Csp.t
 
 (** Decide through core + treewidth DP; the witness is a homomorphism
     from the full structure (retraction composed with the DP's
-    witness).  [budget]/[metrics] govern the underlying {!Freuder} DP
-    (raising {!Lb_util.Budget.Budget_exhausted} on exhaustion). *)
+    witness).  [ctx]'s budget and metrics govern the underlying
+    {!Freuder} DP (raising {!Lb_util.Budget.Budget_exhausted} on
+    exhaustion). *)
 val decide :
-  ?budget:Lb_util.Budget.t ->
-  ?metrics:Lb_util.Metrics.t ->
+  ?ctx:Lb_util.Exec.t ->
   Lb_structure.Structure.t ->
   Lb_structure.Structure.t ->
   int array option
@@ -21,30 +21,28 @@ val decide :
 (** Exact homomorphism count by the DP on [a] itself (cores do not
     preserve counts); saturates at {!Freuder.count_cap}. *)
 val count :
-  ?budget:Lb_util.Budget.t ->
-  ?metrics:Lb_util.Metrics.t ->
+  ?ctx:Lb_util.Exec.t ->
   Lb_structure.Structure.t ->
   Lb_structure.Structure.t ->
   int
 
-(** Exhaustive count for cross-checks; ticks [budget] per assignment. *)
+(** Exhaustive count for cross-checks; ticks [ctx]'s budget per
+    assignment. *)
 val count_bruteforce :
-  ?budget:Lb_util.Budget.t ->
+  ?ctx:Lb_util.Exec.t ->
   Lb_structure.Structure.t ->
   Lb_structure.Structure.t ->
   int
 
 (** Non-raising forms: budget exhaustion as the typed [Exhausted]. *)
 val decide_bounded :
-  ?budget:Lb_util.Budget.t ->
-  ?metrics:Lb_util.Metrics.t ->
+  ?ctx:Lb_util.Exec.t ->
   Lb_structure.Structure.t ->
   Lb_structure.Structure.t ->
   int array option Lb_util.Budget.outcome
 
 val count_bounded :
-  ?budget:Lb_util.Budget.t ->
-  ?metrics:Lb_util.Metrics.t ->
+  ?ctx:Lb_util.Exec.t ->
   Lb_structure.Structure.t ->
   Lb_structure.Structure.t ->
   int Lb_util.Budget.outcome

@@ -100,10 +100,9 @@ let ac3 (csp : Csp.t) idx domains =
    binary constraints; non-binary constraints are checked once fully
    assigned.  [f] gets the assignment (reused array); raise inside [f]
    to stop early. *)
-let iter_solutions ?stats ?ctx ?budget ?metrics ?(use_ac3 = true) (csp : Csp.t)
-    f =
-  let ex = Lb_util.Exec.resolve ?ctx ?budget ?metrics () in
-  let budget = ex.Lb_util.Exec.budget and metrics = ex.Lb_util.Exec.metrics in
+let iter_solutions ?stats ?(ctx = Lb_util.Exec.default) ?(use_ac3 = true)
+    (csp : Csp.t) f =
+  let budget = ctx.Lb_util.Exec.budget and metrics = ctx.Lb_util.Exec.metrics in
   let stats = match stats with Some s -> s | None -> fresh_stats () in
   (* ticked once per search node and once per value attempt, so a
      deadline fires within a quantum of node expansions *)
@@ -213,20 +212,20 @@ let iter_solutions ?stats ?ctx ?budget ?metrics ?(use_ac3 = true) (csp : Csp.t)
 
 exception Found of int array
 
-let solve ?stats ?ctx ?budget ?metrics ?use_ac3 csp =
+let solve ?stats ?ctx ?use_ac3 csp =
   try
-    iter_solutions ?stats ?ctx ?budget ?metrics ?use_ac3 csp (fun a ->
+    iter_solutions ?stats ?ctx ?use_ac3 csp (fun a ->
         raise (Found (Array.copy a)));
     None
   with Found a -> Some a
 
-let count ?stats ?ctx ?budget ?metrics ?use_ac3 csp =
+let count ?stats ?ctx ?use_ac3 csp =
   let c = ref 0 in
-  iter_solutions ?stats ?ctx ?budget ?metrics ?use_ac3 csp (fun _ -> incr c);
+  iter_solutions ?stats ?ctx ?use_ac3 csp (fun _ -> incr c);
   !c
 
-let solve_bounded ?stats ?ctx ?budget ?metrics ?use_ac3 csp =
-  Budget.protect (fun () -> solve ?stats ?ctx ?budget ?metrics ?use_ac3 csp)
+let solve_bounded ?stats ?ctx ?use_ac3 csp =
+  Budget.protect (fun () -> solve ?stats ?ctx ?use_ac3 csp)
 
-let count_bounded ?stats ?ctx ?budget ?metrics ?use_ac3 csp =
-  Budget.protect (fun () -> count ?stats ?ctx ?budget ?metrics ?use_ac3 csp)
+let count_bounded ?stats ?ctx ?use_ac3 csp =
+  Budget.protect (fun () -> count ?stats ?ctx ?use_ac3 csp)

@@ -23,17 +23,11 @@ val ac3 : Csp.t -> binary_index -> Lb_util.Bitset.t array -> bool
     Ticks [budget] once per search node and per value attempt; raises
     {!Lb_util.Budget.Budget_exhausted} when it runs out, with [stats]
     filled to that point.  [metrics] receives per-call
-    [csp_solver.nodes] / [csp_solver.prunings].
-
-    Resources may also be passed as a single [?ctx]
-    ({!Lb_util.Exec.t}); [?budget] / [?metrics] remain as thin
-    deprecated wrappers, an explicit one overriding the corresponding
-    [ctx] field (see {!Lb_util.Exec.resolve}). *)
+    [csp_solver.nodes] / [csp_solver.prunings].  Both come from [?ctx]
+    ({!Lb_util.Exec.t}, default {!Lb_util.Exec.default}). *)
 val iter_solutions :
   ?stats:stats ->
   ?ctx:Lb_util.Exec.t ->
-  ?budget:Lb_util.Budget.t ->
-  ?metrics:Lb_util.Metrics.t ->
   ?use_ac3:bool ->
   Csp.t ->
   (int array -> unit) ->
@@ -44,8 +38,6 @@ exception Found of int array
 val solve :
   ?stats:stats ->
   ?ctx:Lb_util.Exec.t ->
-  ?budget:Lb_util.Budget.t ->
-  ?metrics:Lb_util.Metrics.t ->
   ?use_ac3:bool ->
   Csp.t ->
   int array option
@@ -53,8 +45,6 @@ val solve :
 val count :
   ?stats:stats ->
   ?ctx:Lb_util.Exec.t ->
-  ?budget:Lb_util.Budget.t ->
-  ?metrics:Lb_util.Metrics.t ->
   ?use_ac3:bool ->
   Csp.t ->
   int
@@ -64,8 +54,6 @@ val count :
 val solve_bounded :
   ?stats:stats ->
   ?ctx:Lb_util.Exec.t ->
-  ?budget:Lb_util.Budget.t ->
-  ?metrics:Lb_util.Metrics.t ->
   ?use_ac3:bool ->
   Csp.t ->
   int array option Lb_util.Budget.outcome
@@ -73,8 +61,6 @@ val solve_bounded :
 val count_bounded :
   ?stats:stats ->
   ?ctx:Lb_util.Exec.t ->
-  ?budget:Lb_util.Budget.t ->
-  ?metrics:Lb_util.Metrics.t ->
   ?use_ac3:bool ->
   Csp.t ->
   int Lb_util.Budget.outcome

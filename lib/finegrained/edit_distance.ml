@@ -10,12 +10,12 @@
    deadline interrupts within a quantum of rows. *)
 let tick = function Some b -> Lb_util.Budget.tick b | None -> ()
 
-let quadratic ?budget a b =
+let quadratic ?(ctx = Lb_util.Exec.default) a b =
   let n = Array.length a and m = Array.length b in
   let prev = Array.init (m + 1) Fun.id in
   let curr = Array.make (m + 1) 0 in
   for i = 1 to n do
-    tick budget;
+    tick ctx.Lb_util.Exec.budget;
     curr.(0) <- i;
     for j = 1 to m do
       let cost = if a.(i - 1) = b.(j - 1) then 0 else 1 in
@@ -28,7 +28,7 @@ let quadratic ?budget a b =
 (* Banded DP: exact if the true distance is <= band, otherwise returns
    None.  O(n * band).  Cells are addressed by the diagonal offset
    j - i + band, which stays fixed along the substitution edge. *)
-let banded ?budget a b ~band =
+let banded ?(ctx = Lb_util.Exec.default) a b ~band =
   let n = Array.length a and m = Array.length b in
   if abs (n - m) > band then None
   else begin
@@ -41,7 +41,7 @@ let banded ?budget a b ~band =
       prev.(j + band) <- j
     done;
     for i = 1 to n do
-      tick budget;
+      tick ctx.Lb_util.Exec.budget;
       Array.fill curr 0 width inf;
       let jlo = max 0 (i - band) and jhi = min m (i + band) in
       for j = jlo to jhi do
@@ -66,13 +66,13 @@ let banded ?budget a b ~band =
 
 (* Adaptive: double the band until the banded result is definite; the
    total work is O(n * d) for distance d. *)
-let adaptive ?budget a b =
+let adaptive ?(ctx = Lb_util.Exec.default) a b =
   let rec go band =
-    match banded ?budget a b ~band with
+    match banded ~ctx a b ~band with
     | Some d when d <= band -> d
     | _ ->
         let n = max (Array.length a) (Array.length b) in
-        if band >= n then quadratic ?budget a b else go (2 * band)
+        if band >= n then quadratic ~ctx a b else go (2 * band)
   in
   go 1
 

@@ -9,12 +9,12 @@
    work), so a deadline interrupts within a quantum of rows. *)
 let tick = function Some b -> Lb_util.Budget.tick b | None -> ()
 
-let quadratic ?budget a b =
+let quadratic ?(ctx = Lb_util.Exec.default) a b =
   let n = Array.length a and m = Array.length b in
   let prev = Array.make (m + 1) 0 in
   let curr = Array.make (m + 1) 0 in
   for i = 1 to n do
-    tick budget;
+    tick ctx.Lb_util.Exec.budget;
     for j = 1 to m do
       curr.(j) <-
         (if a.(i - 1) = b.(j - 1) then prev.(j - 1) + 1
@@ -34,7 +34,7 @@ let word_bits = 62
 
 let word_mask = (1 lsl word_bits) - 1
 
-let bitparallel ?budget a b =
+let bitparallel ?(ctx = Lb_util.Exec.default) a b =
   let n = Array.length a and m = Array.length b in
   if m = 0 || n = 0 then 0
   else begin
@@ -56,7 +56,7 @@ let bitparallel ?budget a b =
     let sum = Array.make words 0 in
     let diff = Array.make words 0 in
     for i = 0 to n - 1 do
-      tick budget;
+      tick ctx.Lb_util.Exec.budget;
       let mrow = masks.(a.(i)) in
       for w = 0 to words - 1 do
         u.(w) <- v.(w) land mrow.(w)

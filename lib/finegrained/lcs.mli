@@ -3,10 +3,10 @@
     Allison-Dix variant showing the word-size speedups the conditional
     lower bounds permit. *)
 
-(** Both variants tick an optional [?budget] once per DP row, raising
+(** Both variants tick an [?ctx]'s budget once per DP row, raising
     {!Lb_util.Budget.Budget_exhausted} when spent. *)
-val quadratic : ?budget:Lb_util.Budget.t -> int array -> int array -> int
+val quadratic : ?ctx:Lb_util.Exec.t -> int array -> int array -> int
 
 (** 62 DP columns per word; alphabet values must be small nonnegative
     ints. *)
-val bitparallel : ?budget:Lb_util.Budget.t -> int array -> int array -> int
+val bitparallel : ?ctx:Lb_util.Exec.t -> int array -> int array -> int

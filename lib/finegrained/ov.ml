@@ -38,9 +38,8 @@ let orthogonal a b =
    witness (i, j), [nl*nr] on a miss, and the completed prefix on a
    budget interrupt.  Plain while-loops instead of iterators + [Exit]
    so the count can't drift when the exit unwinds mid-row. *)
-let solve ?ctx inst =
-  let ex = Lb_util.Exec.resolve ?ctx () in
-  let budget = ex.Lb_util.Exec.budget and metrics = ex.Lb_util.Exec.metrics in
+let solve ?(ctx = Lb_util.Exec.default) inst =
+  let budget = ctx.Lb_util.Exec.budget and metrics = ctx.Lb_util.Exec.metrics in
   let nl = Array.length inst.left and nr = Array.length inst.right in
   let res = ref None in
   let pairs = ref 0 in
@@ -71,13 +70,12 @@ let solve_bounded ?ctx inst =
    optionally Domain-parallel with a deterministic witness).  The
    [ov.pairs_scanned] delta is derived from the witness position, so it
    matches [solve]'s count exactly (and deterministically, even under
-   [?pool] where the words actually touched vary). *)
-let solve_blocked ?ctx inst =
-  let ex = Lb_util.Exec.resolve ?ctx () in
-  let metrics = ex.Lb_util.Exec.metrics in
+   a [ctx] pool, where the words actually touched vary). *)
+let solve_blocked ?(ctx = Lb_util.Exec.default) inst =
+  let metrics = ctx.Lb_util.Exec.metrics in
   let a = Lb_util.Matrix.Bool.of_packed_rows ~m:inst.dim inst.left in
   let b = Lb_util.Matrix.Bool.of_packed_rows ~m:inst.dim inst.right in
-  let res = Lb_util.Matrix.Bool.find_orthogonal_rows ?ctx a b in
+  let res = Lb_util.Matrix.Bool.find_orthogonal_rows ~ctx a b in
   let nr = Array.length inst.right in
   let pairs =
     match res with

@@ -16,7 +16,7 @@ val list_cliques : Graph.t -> int -> int array list
 
 (** Nesetril-Poljak: detect a [k]-clique ([k] a positive multiple of 3)
     as a triangle on the [k/3]-clique auxiliary graph, via word-packed
-    Boolean matrix multiplication ([?pool]/[?budget]/[?metrics] reach
+    Boolean matrix multiplication ([ctx]'s pool, budget and sink reach
     the kernel).  Returns a witness clique. *)
 val find_matmul :
   ?ctx:Lb_util.Exec.t -> Graph.t -> int -> int array option

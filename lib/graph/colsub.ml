@@ -74,8 +74,7 @@ let charge_bt (ex : Exec.t) =
   (match ex.Exec.budget with Some b -> Budget.tick b | None -> ());
   Metrics.incr ex.Exec.metrics "colsub.bt.nodes"
 
-let count_backtracking ?ctx t =
-  let ex = Exec.resolve ?ctx () in
+let count_backtracking ?(ctx = Exec.default) t =
   let k = Graph.vertex_count t.pattern in
   if k = 0 then 1
   else begin
@@ -98,7 +97,7 @@ let count_backtracking ?ctx t =
           (Graph.neighbors t.pattern v);
         Bitset.iter
           (fun c ->
-            charge_bt ex;
+            charge_bt ctx;
             image.(v) <- c;
             go (i + 1);
             image.(v) <- -1)
@@ -257,29 +256,27 @@ let run_dp ex t td =
   done;
   (bags, parent, children, preorder, tables)
 
-let count_decomposed ?ctx ?decomposition t =
-  let ex = Exec.resolve ?ctx () in
+let count_decomposed ?(ctx = Exec.default) ?decomposition t =
   if Graph.vertex_count t.pattern = 0 then 1
   else begin
     let td =
       match decomposition with Some d -> d | None -> default_decomposition t
     in
-    let _, _, _, preorder, tables = run_dp ex t td in
+    let _, _, _, preorder, tables = run_dp ctx t td in
     let root = preorder.(0) in
     match tables.(root) with
     | Some tb -> Array.fold_left ( + ) 0 tb.weights
     | None -> 0
   end
 
-let find_decomposed ?ctx ?decomposition t =
-  let ex = Exec.resolve ?ctx () in
+let find_decomposed ?(ctx = Exec.default) ?decomposition t =
   let k = Graph.vertex_count t.pattern in
   if k = 0 then Some [||]
   else begin
     let td =
       match decomposition with Some d -> d | None -> default_decomposition t
     in
-    let _, _, children, preorder, tables = run_dp ex t td in
+    let _, _, children, preorder, tables = run_dp ctx t td in
     let root = preorder.(0) in
     let tb_of b = match tables.(b) with Some tb -> tb | None -> assert false in
     let image = Array.make k (-1) in

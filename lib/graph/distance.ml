@@ -44,13 +44,12 @@ let eccentricity g v =
    sequential path keeps its early exit on disconnection).  The [ctx]
    budget is ticked once per source; the [ctx] metrics sink counts BFS
    runs under "distance.bfs". *)
-let diameter ?ctx g =
-  let ex = Lb_util.Exec.resolve ?ctx () in
-  let pool = ex.Lb_util.Exec.pool in
-  let metrics = ex.Lb_util.Exec.metrics in
+let diameter ?(ctx = Lb_util.Exec.default) g =
+  let pool = ctx.Lb_util.Exec.pool in
+  let metrics = ctx.Lb_util.Exec.metrics in
   let n = Graph.vertex_count g in
   let tick () =
-    match ex.Lb_util.Exec.budget with
+    match ctx.Lb_util.Exec.budget with
     | Some b -> Lb_util.Budget.tick b
     | None -> ()
   in

@@ -20,12 +20,11 @@ type partition = int array array
 
 (* One tick / one [subgraph_iso.nodes] count per attempted extension of
    the partial map - the search-tree node count both solvers share. *)
-let charge budget metrics =
-  (match budget with Some b -> Budget.tick b | None -> ());
-  Metrics.incr metrics "subgraph_iso.nodes"
+let charge (ctx : Exec.t) =
+  (match ctx.Exec.budget with Some b -> Budget.tick b | None -> ());
+  Metrics.incr ctx.Exec.metrics "subgraph_iso.nodes"
 
-let find ?ctx pattern host (classes : partition) =
-  let ex = Exec.resolve ?ctx () in
+let find ?(ctx = Exec.default) pattern host (classes : partition) =
   let h = Graph.vertex_count pattern in
   if Array.length classes <> h then invalid_arg "Subgraph_iso.find";
   let ng = Graph.vertex_count host in
@@ -50,7 +49,7 @@ let find ?ctx pattern host (classes : partition) =
         (try
            Bitset.iter
              (fun c ->
-               charge ex.Exec.budget ex.Exec.metrics;
+               charge ctx;
                image.(v) <- c;
                if go (i + 1) then begin
                  found := true;
@@ -69,8 +68,7 @@ let find ?ctx pattern host (classes : partition) =
    the paper contrasts with: an INJECTIVE map sending pattern edges to
    host edges.  Same candidate-intersection backtracking plus a
    used-vertex mask. *)
-let find_unpartitioned ?ctx pattern host =
-  let ex = Exec.resolve ?ctx () in
+let find_unpartitioned ?(ctx = Exec.default) pattern host =
   let h = Graph.vertex_count pattern in
   let ng = Graph.vertex_count host in
   if h = 0 then Some [||]
@@ -95,7 +93,7 @@ let find_unpartitioned ?ctx pattern host =
            Bitset.iter
              (fun c ->
                if not used.(c) then begin
-                 charge ex.Exec.budget ex.Exec.metrics;
+                 charge ctx;
                  image.(v) <- c;
                  used.(c) <- true;
                  if go (i + 1) then begin

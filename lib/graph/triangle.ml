@@ -61,10 +61,9 @@ let adjacency_bool g =
     g;
   m
 
-let detect_matmul ?ctx g =
-  let ex = Exec.resolve ?ctx () in
+let detect_matmul ?(ctx = Exec.default) g =
   let a = adjacency_bool g in
-  let a2 = Matrix.Bool.mul ~ctx:ex a a in
+  let a2 = Matrix.Bool.mul ~ctx a a in
   let n = Graph.vertex_count g in
   let found = ref None in
   (try
@@ -84,8 +83,7 @@ let detect_matmul ?ctx g =
    with Exit -> ());
   !found
 
-let detect_heavy_light ?delta ?ctx g =
-  let ex = Exec.resolve ?ctx () in
+let detect_heavy_light ?delta ?(ctx = Exec.default) g =
   let n = Graph.vertex_count g in
   let m = Graph.edge_count g in
   let delta =
@@ -125,7 +123,7 @@ let detect_heavy_light ?delta ?ctx g =
       if Array.length hv < 3 then None
       else begin
         let sub, map = Graph.induced g hv in
-        match detect_matmul ~ctx:ex sub with
+        match detect_matmul ~ctx sub with
         | Some (a, b, c) -> Some (map.(a), map.(b), map.(c))
         | None -> None
       end
@@ -134,10 +132,9 @@ let detect_heavy_light ?delta ?ctx g =
    neighbors of every pair, so summing C(u,v) over edges {u,v} counts
    each triangle once per corner.  Entries of C are degrees at most, so
    (unlike the old trace(A^3) int-matrix route) nothing can overflow. *)
-let count_matmul ?ctx g =
-  let ex = Exec.resolve ?ctx () in
+let count_matmul ?(ctx = Exec.default) g =
   let a = adjacency_bool g in
-  let c = Matrix.Bool.mul_count ~ctx:ex a a in
+  let c = Matrix.Bool.mul_count ~ctx a a in
   let total = ref 0 in
   Graph.iter_edges (fun u v -> total := !total + Matrix.Int.get c u v) g;
   !total / 3

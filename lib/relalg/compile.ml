@@ -230,7 +230,7 @@ type mach = {
   bud : Budget.t option;
 }
 
-let mach_of_tries ?budget ir tries =
+let mach_of_tries budget ir tries =
   let n = Array.length ir.lv_atom in
   let cols = Array.make n Column.empty in
   for l = 0 to ir.nvars - 1 do
@@ -255,20 +255,20 @@ let mach_of_tries ?budget ir tries =
 
 (* One logical trie build per execution (the unit the server's batch
    scheduler asserts sharing on); the per-atom builds run on the pool. *)
-let make_mach ?pool ?budget ?(metrics = Metrics.disabled) ir db (q : Query.t) =
-  Metrics.incr metrics (trie_builds_name ir.engine);
+let make_mach (ex : Exec.t) ir db (q : Query.t) =
+  Metrics.incr ex.Exec.metrics (trie_builds_name ir.engine);
   let atoms = Array.of_list q in
   let natoms = Array.length atoms in
   let build i = Trie.build ~order:ir.order (Query.bind_atom db atoms.(i)) in
   let tries =
-    match pool with
+    match ex.Exec.pool with
     | Some p when Pool.size p > 1 && natoms > 1 ->
         let out = Array.make natoms None in
         Pool.run p ~chunks:natoms (fun i -> out.(i) <- Some (build i));
         Array.map Option.get out
     | _ -> Array.init natoms build
   in
-  mach_of_tries ?budget ir tries
+  mach_of_tries ex.Exec.budget ir tries
 
 let has_empty_atom m =
   let e = ref false in
@@ -795,15 +795,11 @@ let pool_applies m = function
 
 (* --- public unsharded entry points --- *)
 
-let count ?counters ?ctx ir db q =
-  let ex = Exec.resolve ?ctx () in
+let count ?counters ?(ctx = Exec.default) ir db q =
   let c = match counters with Some c -> c | None -> fresh_counters () in
-  let m =
-    make_mach ?pool:ex.Exec.pool ?budget:ex.Exec.budget
-      ~metrics:ex.Exec.metrics ir db q
-  in
-  with_metrics ir.engine ex.Exec.metrics c @@ fun () ->
-  match pool_applies m ex.Exec.pool with
+  let m = make_mach ctx ir db q in
+  with_metrics ir.engine ctx.Exec.metrics c @@ fun () ->
+  match pool_applies m ctx.Exec.pool with
   | Some p when not (has_empty_atom m) ->
       let accs =
         run_par m p c ~make_acc:(fun () -> ref 0) ~consume:(fun r _ -> incr r)
@@ -817,16 +813,12 @@ let count ?counters ?ctx ir db q =
 let count_bounded ?counters ?ctx ir db q =
   Budget.protect (fun () -> count ?counters ?ctx ir db q)
 
-let answer ?ctx ir db q =
-  let ex = Exec.resolve ?ctx () in
+let answer ?(ctx = Exec.default) ir db q =
   let c = fresh_counters () in
-  let m =
-    make_mach ?pool:ex.Exec.pool ?budget:ex.Exec.budget
-      ~metrics:ex.Exec.metrics ir db q
-  in
+  let m = make_mach ctx ir db q in
   let rows =
-    with_metrics ir.engine ex.Exec.metrics c @@ fun () ->
-    match pool_applies m ex.Exec.pool with
+    with_metrics ir.engine ctx.Exec.metrics c @@ fun () ->
+    match pool_applies m ctx.Exec.pool with
     | Some p when not (has_empty_atom m) ->
         let accs =
           run_par m p c
@@ -868,8 +860,8 @@ type subset = { owned : int -> bool; lead : bool }
 
 let all_shards = { owned = (fun _ -> true); lead = true }
 
-let make_shard_machs ?pool ?budget ~metrics ~lead ir (view : Shard.view) =
-  if lead then Metrics.incr metrics (trie_builds_name ir.engine);
+let make_shard_machs (ex : Exec.t) ~lead ir (view : Shard.view) =
+  if lead then Metrics.incr ex.Exec.metrics (trie_builds_name ir.engine);
   let k = view.Shard.k in
   let parts = view.Shard.parts in
   let natoms = Array.length parts in
@@ -894,12 +886,12 @@ let make_shard_machs ?pool ?budget ~metrics ~lead ir (view : Shard.view) =
         done
     | Shard.Parts a -> out.(i).(s) <- Some (Trie.build ~order:ir.order a.(s))
   in
-  (match pool with
+  (match ex.Exec.pool with
   | Some p when Pool.size p > 1 && Array.length jobs > 1 ->
       Pool.run p ~chunks:(Array.length jobs) (fun j -> build jobs.(j))
   | _ -> Array.iter build jobs);
   Array.init k (fun s ->
-      mach_of_tries ?budget ir
+      mach_of_tries ex.Exec.budget ir
         (Array.init natoms (fun i -> Option.get out.(i).(s))))
 
 let sharded_empty machs =
@@ -1121,16 +1113,15 @@ let run_units machs (tasks : task array array) units pool c ~make_acc ~consume
           done);
   accs
 
-let sharded_drive ?counters ?ctx ?partition ?view ?(subset = all_shards)
-    ~shards ir db q ~make_acc ~consume =
+let sharded_drive ?counters ?(ctx = Exec.default) ?partition ?view
+    ?(subset = all_shards) ~shards ir db q ~make_acc ~consume =
   if shards < 1 then invalid_arg "Compile.run_sharded: shards < 1";
-  let ex = Exec.resolve ?ctx () in
   let c = match counters with Some c -> c | None -> fresh_counters () in
-  with_metrics ir.engine ex.Exec.metrics c @@ fun () ->
+  with_metrics ir.engine ctx.Exec.metrics c @@ fun () ->
   if ir.nvars = 0 then begin
-    let m =
-      make_mach ?budget:ex.Exec.budget ~metrics:ex.Exec.metrics ir db q
-    in
+    (* built without the pool: a zero-variable query has no level to
+       spread over domains *)
+    let m = make_mach { ctx with Exec.pool = None } ir db q in
     let acc = make_acc () in
     run_seq m c (fun a -> consume acc a);
     [| acc |]
@@ -1146,15 +1137,12 @@ let sharded_drive ?counters ?ctx ?partition ?view ?(subset = all_shards)
           v
       | None -> Shard.view ?hook:partition ~attr:ir.order.(0) ~k:shards db q
     in
-    let machs =
-      make_shard_machs ?pool:ex.Exec.pool ?budget:ex.Exec.budget
-        ~metrics:ex.Exec.metrics ~lead:subset.lead ir view
-    in
+    let machs = make_shard_machs ctx ~lead:subset.lead ir view in
     if sharded_empty machs then [| make_acc () |]
     else begin
       let tasks, counts = gen_sharded_tasks machs c ~sub:subset in
       let units = units_of counts in
-      run_units machs tasks units ex.Exec.pool c ~make_acc ~consume
+      run_units machs tasks units ctx.Exec.pool c ~make_acc ~consume
     end
   end
 

@@ -18,8 +18,7 @@
    polynomial time - strictly more than bounded treewidth, strictly more
    than acyclicity.  The serve-tier planner routes through here when
    fhw beats rho*; [~compile] reuses the compiled loop-nest tier for
-   the per-bag WCOJ (bit-identical to the interpreted path, falling
-   back on queries the lowerer refuses). *)
+   the per-bag WCOJ (bit-identical to the interpreted path). *)
 
 module Td = Lb_graph.Tree_decomposition
 module Exec = Lb_util.Exec
@@ -38,12 +37,12 @@ let default_decomposition (q : Query.t) =
 
 (* WCOJ on the temporary per-bag database: the compiled loop nest when
    asked (same answers, counters and ticks as interpreted Generic
-   Join), the interpreter otherwise or when lowering refuses. *)
+   Join), the interpreter otherwise.  Lowering cannot refuse a bag
+   query: it is lowered against its own attribute order, and every
+   attribute comes from one of its atoms. *)
 let wcoj ?ctx ~compile db q =
   if compile then
-    match Compile.lower ~engine:Compile.Generic q with
-    | ir -> Compile.answer ?ctx ir db q
-    | exception Invalid_argument _ -> Generic_join.answer ?ctx db q
+    Compile.answer ?ctx (Compile.lower ~engine:Compile.Generic q) db q
   else Generic_join.answer ?ctx db q
 
 let bag_relation ?ctx ?(compile = false) db (q : Query.t) attrs_of_query bag =
@@ -104,11 +103,11 @@ let bag_query bag_rels =
   in
   (bag_db, List.rev bag_q)
 
-let answer ?ctx ?(compile = false) ?decomposition db (q : Query.t) =
+let answer ?(ctx = Exec.default) ?(compile = false) ?decomposition db
+    (q : Query.t) =
   match q with
   | [] -> (Relation.make [||] [ [||] ], { width = -1; max_bag_tuples = 1 })
   | _ ->
-      let ex = Exec.resolve ?ctx () in
       let td =
         match decomposition with
         | Some t -> t
@@ -116,27 +115,27 @@ let answer ?ctx ?(compile = false) ?decomposition db (q : Query.t) =
       in
       let attrs = Query.attributes q in
       let bags = Td.bags td in
-      let bag_rels = materialize_bags ex ~compile db q attrs bags in
+      let bag_rels = materialize_bags ctx ~compile db q attrs bags in
       let max_bag =
         Array.fold_left (fun acc r -> max acc (Relation.cardinality r)) 0 bag_rels
       in
       (* acyclic query over the bags *)
       let bag_db, bag_q = bag_query bag_rels in
-      let result, _ = Yannakakis.answer ~ctx:ex bag_db bag_q in
+      let result, _ = Yannakakis.answer ~ctx bag_db bag_q in
       (result, { width = Td.width td; max_bag_tuples = max_bag })
 
 (* Boolean variant: bag materialization + the semijoin-only reducer. *)
-let boolean_answer ?ctx ?(compile = false) ?decomposition db (q : Query.t) =
+let boolean_answer ?(ctx = Exec.default) ?(compile = false) ?decomposition db
+    (q : Query.t) =
   match q with
   | [] -> true
   | _ ->
-      let ex = Exec.resolve ?ctx () in
       let td =
         match decomposition with
         | Some t -> t
         | None -> default_decomposition q
       in
       let attrs = Query.attributes q in
-      let bag_rels = materialize_bags ex ~compile db q attrs (Td.bags td) in
+      let bag_rels = materialize_bags ctx ~compile db q attrs (Td.bags td) in
       let bag_db, bag_q = bag_query bag_rels in
-      Yannakakis.boolean_answer ~ctx:ex bag_db bag_q
+      Yannakakis.boolean_answer ~ctx bag_db bag_q

@@ -10,8 +10,7 @@
     at the engines' usual charging points, [decomposed_join.bags] /
     [decomposed_join.bag_tuples] counters plus the engines' own), and
     [~compile:true] lowers each bag's WCOJ through {!Compile}
-    (bit-identical to the interpreted path; queries the lowerer
-    refuses fall back silently). *)
+    (bit-identical to the interpreted path). *)
 
 type stats = {
   width : int;  (** bag size - 1 of the decomposition used *)

@@ -61,7 +61,8 @@ val count_bounded :
   Query.t ->
   int Lb_util.Budget.outcome
 
-(** The Boolean join query: stop at the first answer. *)
+(** The Boolean join query: stop at the first answer.  Only the [ctx]
+    budget applies; no counters are recorded. *)
 val exists :
   ?order:string array ->
   ?ctx:Lb_util.Exec.t ->

@@ -33,8 +33,8 @@ type ctx = {
   bud : Budget.t option; (* ticked once per agreed key and per seek *)
 }
 
-let make_ctx ?budget ?(metrics = Metrics.disabled) ~order db (q : Query.t) =
-  Metrics.incr metrics "leapfrog.trie_builds";
+let make_ctx (ex : Exec.t) ~order db (q : Query.t) =
+  Metrics.incr ex.Exec.metrics "leapfrog.trie_builds";
   let tries =
     Array.map (fun a -> Trie.build ~order (Query.bind_atom db a)) (Array.of_list q)
   in
@@ -55,7 +55,7 @@ let make_ctx ?budget ?(metrics = Metrics.disabled) ~order db (q : Query.t) =
     pcols.(l) <-
       Array.of_list (List.map (fun (i, d) -> Trie.column tries.(i) d) !ids)
   done;
-  { tries; nvars; natoms; participants; pcols; bud = budget }
+  { tries; nvars; natoms; participants; pcols; bud = ex.Exec.budget }
 
 let has_empty_atom ctx =
   let e = ref false in
@@ -164,12 +164,11 @@ let with_metrics metrics c f =
       Metrics.add metrics "leapfrog.emitted" (c.emitted - e0))
     f
 
-let iter ?order ?counters ?ctx db (q : Query.t) f =
-  let ex = Exec.resolve ?ctx () in
+let iter ?order ?counters ?(ctx = Exec.default) db (q : Query.t) f =
   let order = match order with Some o -> o | None -> Query.attributes q in
   let c = match counters with Some c -> c | None -> fresh_counters () in
-  let cx = make_ctx ?budget:ex.Exec.budget ~metrics:ex.Exec.metrics ~order db q in
-  with_metrics ex.Exec.metrics c (fun () -> run_seq cx c f)
+  let cx = make_ctx ctx ~order db q in
+  with_metrics ctx.Exec.metrics c (fun () -> run_seq cx c f)
 
 let count ?order ?counters ?ctx db q =
   let n = ref 0 in
@@ -187,10 +186,9 @@ let answer ?order ?ctx db q =
 
 exception Found
 
-let exists ?order ?ctx db q =
-  let ex = Exec.resolve ?ctx () in
+let exists ?order ?(ctx = Exec.default) db q =
   let order = match order with Some o -> o | None -> Query.attributes q in
-  let cx = make_ctx ?budget:ex.Exec.budget ~order db q in
+  let cx = make_ctx { ctx with Exec.metrics = Metrics.disabled } ~order db q in
   try
     run_seq cx (fresh_counters ()) (fun _ -> raise Found);
     false

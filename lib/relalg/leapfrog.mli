@@ -53,6 +53,8 @@ val count_bounded :
   Query.t ->
   int Lb_util.Budget.outcome
 
+(** Stop at the first answer.  Only the [ctx] budget applies; no
+    counters are recorded. *)
 val exists :
   ?order:string array ->
   ?ctx:Lb_util.Exec.t ->

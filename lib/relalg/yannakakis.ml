@@ -19,9 +19,10 @@ type stats = { max_intermediate : int; semijoins : int }
 exception Cyclic
 
 (* Returns the reduced per-atom relations, the join tree (parent array),
-   and a DFS post-order.  The optional budget is ticked once per
+   and a DFS post-order.  The context's budget is ticked once per
    semijoin - the unit the O(input + output) accounting charges. *)
-let full_reducer ?budget db (q : Query.t) =
+let full_reducer ?(ctx = Exec.default) db (q : Query.t) =
+  let budget = ctx.Exec.budget in
   let h = Query.hypergraph q in
   match Lb_hypergraph.Acyclic.join_tree h with
   | None -> raise Cyclic
@@ -77,16 +78,15 @@ let record metrics (s : stats) =
   Metrics.add metrics "yannakakis.semijoins" s.semijoins;
   Metrics.add metrics "yannakakis.max_intermediate" s.max_intermediate
 
-let answer ?ctx db (q : Query.t) =
-  let ex = Exec.resolve ?ctx () in
-  let budget = ex.Exec.budget in
+let answer ?(ctx = Exec.default) db (q : Query.t) =
+  let budget = ctx.Exec.budget in
   match q with
   | [] ->
       let s = { max_intermediate = 1; semijoins = 0 } in
-      record ex.Exec.metrics s;
+      record ctx.Exec.metrics s;
       (Relation.make [||] [ [||] ], s)
   | _ ->
-      let rels, parent, post, semijoins = full_reducer ?budget db q in
+      let rels, parent, post, semijoins = full_reducer ~ctx db q in
       let acc = Array.copy rels in
       let max_inter = ref 0 in
       List.iter
@@ -101,18 +101,17 @@ let answer ?ctx db (q : Query.t) =
         match List.rev post with r :: _ -> r | [] -> assert false
       in
       let s = { max_intermediate = !max_inter; semijoins } in
-      record ex.Exec.metrics s;
+      record ctx.Exec.metrics s;
       (acc.(root), s)
 
 (* Boolean acyclic query: after full reduction the answer is nonempty iff
    every reduced relation is nonempty. *)
-let boolean_answer ?ctx db (q : Query.t) =
-  let ex = Exec.resolve ?ctx () in
+let boolean_answer ?(ctx = Exec.default) db (q : Query.t) =
   match q with
   | [] -> true
   | _ ->
-      let rels, _, _, semijoins = full_reducer ?budget:ex.Exec.budget db q in
-      record ex.Exec.metrics { max_intermediate = 0; semijoins };
+      let rels, _, _, semijoins = full_reducer ~ctx db q in
+      record ctx.Exec.metrics { max_intermediate = 0; semijoins };
       Array.for_all (fun r -> Relation.cardinality r > 0) rels
 
 let is_acyclic (q : Query.t) =
@@ -126,11 +125,10 @@ let is_acyclic (q : Query.t) =
    on dead branches.  [f] receives each answer as an array parallel to
    [Query.attributes q]; the array is reused between calls. *)
 let iter_answers ?ctx db (q : Query.t) f =
-  let ex = Exec.resolve ?ctx () in
   match q with
   | [] -> f [||]
   | _ ->
-      let rels, parent, post, _ = full_reducer ?budget:ex.Exec.budget db q in
+      let rels, parent, post, _ = full_reducer ?ctx db q in
       let m = Array.length rels in
       let attrs = Query.attributes q in
       let attr_index = Hashtbl.create 16 in

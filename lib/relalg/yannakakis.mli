@@ -9,10 +9,10 @@ exception Cyclic
 
 (** Semijoin-reduce all relations along a join tree.  Returns (reduced
     relations, parent array, post-order, semijoin count).  Raises
-    {!Cyclic} on cyclic queries.  The budget, if any, is ticked once per
-    semijoin. *)
+    {!Cyclic} on cyclic queries.  The [ctx] budget is ticked once per
+    semijoin; the [ctx] metrics sink is left to the caller. *)
 val full_reducer :
-  ?budget:Lb_util.Budget.t ->
+  ?ctx:Lb_util.Exec.t ->
   Database.t ->
   Query.t ->
   Relation.t array * int array * int list * int

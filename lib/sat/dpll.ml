@@ -18,9 +18,8 @@ let fresh_stats () = { decisions = 0; propagations = 0 }
 
 type branching = Max_occurrence | First_unassigned
 
-let solve ?stats ?(branching = Max_occurrence) ?ctx ?budget ?metrics t =
-  let ex = Lb_util.Exec.resolve ?ctx ?budget ?metrics () in
-  let budget = ex.Lb_util.Exec.budget and metrics = ex.Lb_util.Exec.metrics in
+let solve ?stats ?(branching = Max_occurrence) ?(ctx = Lb_util.Exec.default) t =
+  let budget = ctx.Lb_util.Exec.budget and metrics = ctx.Lb_util.Exec.metrics in
   let stats = match stats with Some s -> s | None -> fresh_stats () in
   let n = Cnf.nvars t in
   let clauses = Array.of_list (Cnf.clauses t) in
@@ -164,8 +163,8 @@ let solve ?stats ?(branching = Max_occurrence) ?ctx ?budget ?metrics t =
     (fun () ->
       if search () then Some (Array.map (fun a -> a = 1) assign) else None)
 
-let solve_bounded ?stats ?branching ?ctx ?budget ?metrics t =
-  Budget.protect (fun () -> solve ?stats ?branching ?ctx ?budget ?metrics t)
+let solve_bounded ?stats ?branching ?ctx t =
+  Budget.protect (fun () -> solve ?stats ?branching ?ctx t)
 
 (* Exhaustive model counting by DPLL-style branching (used only by tests
    on small formulas to cross-check solvers). *)

@@ -15,18 +15,12 @@ type branching =
     unit and raises {!Lb_util.Budget.Budget_exhausted} when it runs out
     ([stats] stays filled to the interruption point); use
     {!solve_bounded} for the non-raising form.  [metrics] receives the
-    per-call [dpll.decisions] / [dpll.propagations] counters.
-
-    Resources may also be passed as a single [?ctx]
-    ({!Lb_util.Exec.t}); [?budget] / [?metrics] remain as thin
-    deprecated wrappers, an explicit one overriding the corresponding
-    [ctx] field (see {!Lb_util.Exec.resolve}). *)
+    per-call [dpll.decisions] / [dpll.propagations] counters.  Both come
+    from [?ctx] ({!Lb_util.Exec.t}, default {!Lb_util.Exec.default}). *)
 val solve :
   ?stats:stats ->
   ?branching:branching ->
   ?ctx:Lb_util.Exec.t ->
-  ?budget:Lb_util.Budget.t ->
-  ?metrics:Lb_util.Metrics.t ->
   Cnf.t ->
   bool array option
 
@@ -36,8 +30,6 @@ val solve_bounded :
   ?stats:stats ->
   ?branching:branching ->
   ?ctx:Lb_util.Exec.t ->
-  ?budget:Lb_util.Budget.t ->
-  ?metrics:Lb_util.Metrics.t ->
   Cnf.t ->
   bool array option Lb_util.Budget.outcome
 

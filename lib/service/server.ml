@@ -243,20 +243,21 @@ let maintain_results t ~db_old ~name ~rows ~is_insert =
           Lru.update t.result_cache key (fun e -> { e with vv });
           incr t "serve.ivm.refreshed"
         end
-        else
-          match
+        else begin
+          (* Maintenance cannot fail on a current entry: the runner is
+             unbudgeted, every relation the query reads is present, and
+             the reserved maintenance names never clash with client
+             relations - so any exception is a bug and propagates. *)
+          let ans =
             (if is_insert then Ivm.insert_maintain else Ivm.delete_maintain)
               ~runner:(runner t) ~db_old ~db_new ~name ~delta:(Lazy.force delta)
               e.q e.ans
-          with
-          | ans ->
-              let vv = Catalog.version_vector t.catalog e.rels in
-              Lru.update t.result_cache key (fun e -> { e with ans; vv });
-              incr t "serve.ivm.maintained";
-              Metrics.add t.metrics "serve.ivm.delta_rows" (Array.length rows)
-          | exception _ ->
-              Lru.remove t.result_cache key;
-              incr t "serve.ivm.invalidated")
+          in
+          let vv = Catalog.version_vector t.catalog e.rels in
+          Lru.update t.result_cache key (fun e -> { e with ans; vv });
+          incr t "serve.ivm.maintained";
+          Metrics.add t.metrics "serve.ivm.delta_rows" (Array.length rows)
+        end)
       (Lru.to_list t.result_cache)
   end
 
@@ -842,6 +843,18 @@ let plan_of t (q : Q.t) canonical (engine : Planner.engine option) =
           Ok plan
       | Error _ as e -> e)
 
+(* The budget a query or colsub request runs under: its own
+   [max_ticks]/[timeout_ms] limits, each defaulting to the configured
+   one; [None] when no limit applies. *)
+let request_budget t ~max_ticks ~timeout_ms =
+  let or_default v d = match v with Some _ -> v | None -> d in
+  let ticks = or_default max_ticks t.config.default_max_ticks in
+  let timeout_ms = or_default timeout_ms t.config.default_timeout_ms in
+  let seconds = Option.map (fun ms -> float_of_int ms /. 1000.) timeout_ms in
+  match (ticks, seconds) with
+  | None, None -> None
+  | _ -> Some (Budget.create ?ticks ?seconds ())
+
 (* Sequential phase A for a query: parse, plan, consult the result
    cache; anything that avoids execution is Ready. *)
 let prepare_query t text (opts : Protocol.query_opts) =
@@ -921,23 +934,9 @@ let prepare_query t text (opts : Protocol.query_opts) =
               Ready (query_response t task ~cached:true ans ~with_counters:false)
           | None ->
               incr t "serve.cache.result.misses";
-              let ticks =
-                match opts.Protocol.max_ticks with
-                | Some n -> Some n
-                | None -> t.config.default_max_ticks
-              in
-              let seconds =
-                match opts.Protocol.timeout_ms with
-                | Some ms -> Some (float_of_int ms /. 1000.)
-                | None ->
-                    Option.map
-                      (fun ms -> float_of_int ms /. 1000.)
-                      t.config.default_timeout_ms
-              in
               let budget =
-                match (ticks, seconds) with
-                | None, None -> None
-                | _ -> Some (Budget.create ?ticks ?seconds ())
+                request_budget t ~max_ticks:opts.Protocol.max_ticks
+                  ~timeout_ms:opts.Protocol.timeout_ms
               in
               Pending { task with budget }))
 
@@ -947,23 +946,6 @@ let prepare_query t text (opts : Protocol.query_opts) =
    defaults and metrics discipline as queries: a per-request sink
    merged into the lifetime metrics, budget exhaustion surfaced as a
    timeout reply with partial counters. --- *)
-
-let colsub_budget t (c : Protocol.colsub_req) =
-  let ticks =
-    match c.Protocol.cs_max_ticks with
-    | Some n -> Some n
-    | None -> t.config.default_max_ticks
-  in
-  let seconds =
-    match c.Protocol.cs_timeout_ms with
-    | Some ms -> Some (float_of_int ms /. 1000.)
-    | None ->
-        Option.map (fun ms -> float_of_int ms /. 1000.)
-          t.config.default_timeout_ms
-  in
-  match (ticks, seconds) with
-  | None, None -> None
-  | _ -> Some (Budget.create ?ticks ?seconds ())
 
 let colsub_instance (c : Protocol.colsub_req) =
   if c.Protocol.k < 0 then Error "\"k\" must be nonnegative"
@@ -998,7 +980,10 @@ let prepare_colsub t (c : Protocol.colsub_req) =
         | m -> m
       in
       let sink = Metrics.create () in
-      let budget = colsub_budget t c in
+      let budget =
+        request_budget t ~max_ticks:c.Protocol.cs_max_ticks
+          ~timeout_ms:c.Protocol.cs_timeout_ms
+      in
       let ctx = Exec.make ?budget ~metrics:sink () in
       let t0 = Unix.gettimeofday () in
       let outcome =
@@ -1401,11 +1386,19 @@ let finish t (task : task) =
    dispatcher, adopt the merged rows as the answer and the summed
    per-worker counters as the task's sink (so the reply's "counters"
    and the lifetime merge are byte-identical to a single-process
-   sharded run).  A dispatch-level failure falls back to ordinary
-   local execution - per-worker failures never surface here (the
-   coordinator absorbs them and reports [d_degraded]). *)
+   sharded run).  A dispatch-level failure - an [Error] reply or a
+   transport exception - falls back to ordinary local execution,
+   counted in [serve.dist.fallbacks] and per cause in
+   [serve.dist.fallbacks.<cause>]; any other exception propagates.
+   Per-worker failures never surface here (the coordinator absorbs
+   them and reports [d_degraded]). *)
 let execute_dist t disp (task : task) db =
   let t0 = Unix.gettimeofday () in
+  let fall_back cause =
+    incr t "serve.dist.fallbacks";
+    incr t ("serve.dist.fallbacks." ^ cause);
+    execute ?pool:t.config.pool task db
+  in
   match
     disp.dispatch_query ~text:task.canonical
       ~engine:task.plan.Planner.engine
@@ -1418,12 +1411,10 @@ let execute_dist t disp (task : task) db =
         Answered { attributes = o.d_attributes; rows = o.d_rows };
       task.elapsed_ms <-
         Float.round ((Unix.gettimeofday () -. t0) *. 1e6) /. 1e3
-  | Error _ ->
-      incr t "serve.dist.fallbacks";
-      execute ?pool:t.config.pool task db
-  | exception _ ->
-      incr t "serve.dist.fallbacks";
-      execute ?pool:t.config.pool task db
+  | Error _ -> fall_back "error"
+  | exception Unix.Unix_error _ -> fall_back "unix_error"
+  | exception End_of_file -> fall_back "end_of_file"
+  | exception Sys_error _ -> fall_back "sys_error"
 
 let run_tasks t (tasks : task list) =
   let db = Catalog.database t.catalog in

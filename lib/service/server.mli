@@ -118,8 +118,11 @@ type dispatch_outcome = {
 
 (** Injected by {!Coordinator.attach}: scatters unbudgeted WCOJ reads
     across worker replicas and fans catalog mutations out to them.
-    [dispatch_query] returning [Error] falls back to ordinary local
-    execution ([serve.dist.fallbacks]). *)
+    [dispatch_query] returning [Error] or raising a transport failure
+    ([Unix.Unix_error], [End_of_file], [Sys_error]) falls back to
+    ordinary local execution, counted in [serve.dist.fallbacks] and per
+    cause in [serve.dist.fallbacks.error] / [.unix_error] /
+    [.end_of_file] / [.sys_error]; any other exception propagates. *)
 type dispatcher = {
   dispatch_query :
     text:string -> engine:Planner.engine -> (dispatch_outcome, string) result;

@@ -1,5 +1,5 @@
-(* The execution context record consolidating the ?pool ?budget
-   ?metrics optional-argument triple.  See exec.mli. *)
+(* The execution context record: pool, budget and metrics sink passed
+   to every solver as one [?ctx].  See exec.mli. *)
 
 type t = {
   pool : Pool.t option;
@@ -11,20 +11,3 @@ let default = { pool = None; budget = None; metrics = Metrics.disabled }
 
 let make ?pool ?budget ?(metrics = Metrics.disabled) () =
   { pool; budget; metrics }
-
-let with_pool pool t = { t with pool = Some pool }
-
-let with_budget budget t = { t with budget = Some budget }
-
-let with_metrics metrics t = { t with metrics }
-
-(* Legacy labelled arguments override the context field-by-field: a
-   call site that passes ?budget explicitly keeps exactly its old
-   behaviour whether or not it also passes a context. *)
-let resolve ?ctx ?pool ?budget ?metrics () =
-  let base = match ctx with Some c -> c | None -> default in
-  {
-    pool = (match pool with Some _ -> pool | None -> base.pool);
-    budget = (match budget with Some _ -> budget | None -> base.budget);
-    metrics = (match metrics with Some m -> m | None -> base.metrics);
-  }

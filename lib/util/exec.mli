@@ -1,16 +1,13 @@
 (** The execution context: one first-class record for the three
-    resource handles every solver entry point used to take as the
-    [?pool ?budget ?metrics] optional-argument triple.
+    resource handles a solver entry point may run under - a domain
+    pool, a tick/deadline budget and a metrics sink.
 
-    The triple grew one PR at a time (PR 1 added [?pool], PR 2 added
-    [?budget]/[?metrics]) and every new entry point had to repeat all
-    three, default them consistently, and forward them correctly.  An
-    [Exec.t] packages them once: callers build a context ([default],
-    then [with_pool]/[with_budget]/[with_metrics]) and pass [?ctx];
-    solvers call {!resolve} to reconcile it with the legacy labelled
-    arguments, which remain supported as thin deprecated wrappers - an
-    explicit legacy argument overrides the corresponding context field,
-    so no existing call site changes behaviour. *)
+    Every entry point that can use any of them takes a single
+    [?ctx:Exec.t] defaulting to {!default}, and nothing else for pool,
+    budget or metrics.  Callers build a context with {!make} from the
+    parts at hand and forward it unchanged; a solver reads only the
+    fields it uses (a sequential kernel ignores [pool], an ungoverned
+    one [budget]). *)
 
 type t = {
   pool : Pool.t option;  (** Domain-parallel execution, when present *)
@@ -19,31 +16,9 @@ type t = {
 }
 
 (** No pool, no budget, the disabled metrics sink: sequential,
-    ungoverned, uninstrumented - the historical default of every
-    entry point. *)
+    ungoverned, uninstrumented - the default of every entry point. *)
 val default : t
 
 (** [make ?pool ?budget ?metrics ()] builds a context from the parts at
     hand; omitted fields are {!default}'s. *)
 val make : ?pool:Pool.t -> ?budget:Budget.t -> ?metrics:Metrics.t -> unit -> t
-
-(** Functional updates, pipeline style:
-    [Exec.(default |> with_pool p |> with_budget b)]. *)
-val with_pool : Pool.t -> t -> t
-
-val with_budget : Budget.t -> t -> t
-
-val with_metrics : Metrics.t -> t -> t
-
-(** [resolve ?ctx ?pool ?budget ?metrics ()] is the context a migrated
-    entry point actually runs under: [ctx] (or {!default}) with any
-    explicitly-passed legacy argument overriding its field.  This is
-    the whole implementation of the deprecated [?pool ?budget
-    ?metrics] wrappers. *)
-val resolve :
-  ?ctx:t ->
-  ?pool:Pool.t ->
-  ?budget:Budget.t ->
-  ?metrics:Metrics.t ->
-  unit ->
-  t

@@ -68,7 +68,8 @@ module Int = struct
      [Bool.mul_count] when a single product of 0/1 matrices is all
      that's needed (its entries are popcounts, bounded by the shared
      dimension). *)
-  let mul ?pool ?(metrics = Metrics.disabled) ?budget a b =
+  let mul ?(ctx = Exec.default) a b =
+    let { Exec.pool; budget; metrics } = ctx in
     if a.m <> b.n then invalid_arg "Matrix.Int.mul: dimension mismatch";
     let c = create a.n b.m in
     let nbands = bands a.n in
@@ -102,12 +103,6 @@ module Int = struct
         done);
     merge_slots metrics "matmul.int_ops" slots;
     c
-
-  (* The public surface takes the execution resources as one [?ctx]
-     (Exec.t); the labelled triple above stays private. *)
-  let mul ?ctx a b =
-    let ex = Exec.resolve ?ctx () in
-    mul ?pool:ex.Exec.pool ~metrics:ex.Exec.metrics ?budget:ex.Exec.budget a b
 
   let trace t =
     let s = ref 0 in
@@ -197,11 +192,13 @@ module Bool = struct
      All four paths compute the same Boolean product
      c.(i) = OR over k with a(i,k) of b row k, word-parallel in the
      columns of b, and produce bit-identical outputs (property-tested).
+     Each takes the execution resources as one [?ctx] (Exec.t); its
      [metrics] counts the OR'd words under "matmul.words" and M4R table
      builds under "matmul.table_builds". *)
 
   (* Naive per-bit loop: the small-case and oracle path. *)
-  let mul_naive ?(metrics = Metrics.disabled) a b =
+  let mul_naive ?(ctx = Exec.default) a b =
+    let { Exec.metrics; _ } = ctx in
     if a.m <> b.n then invalid_arg "Matrix.Bool.mul: dimension mismatch";
     let c = create a.n b.m in
     let words = ref 0 in
@@ -231,7 +228,8 @@ module Bool = struct
 
   let k_block = k_block_words * word_bits (* 252 *)
 
-  let mul_blocked ?pool ?(metrics = Metrics.disabled) ?budget a b =
+  let mul_blocked ?(ctx = Exec.default) a b =
+    let { Exec.pool; budget; metrics } = ctx in
     if a.m <> b.n then invalid_arg "Matrix.Bool.mul: dimension mismatch";
     let c = create a.n b.m in
     let cw = c.words in
@@ -302,7 +300,8 @@ module Bool = struct
   let byte_ctz =
     Array.init 256 (fun e -> if e = 0 then 0 else Bits.ctz e)
 
-  let mul_m4r ?pool ?(metrics = Metrics.disabled) ?budget a b =
+  let mul_m4r ?(ctx = Exec.default) a b =
+    let { Exec.pool; budget; metrics } = ctx in
     if a.m <> b.n then invalid_arg "Matrix.Bool.mul: dimension mismatch";
     let c = create a.n b.m in
     let cw = c.words in
@@ -399,19 +398,19 @@ module Bool = struct
 
   let blocked_min_inner = 64
 
-  let mul ?pool ?metrics ?budget a b =
-    if a.m >= m4r_min_inner && a.n >= m4r_min_rows then
-      mul_m4r ?pool ?metrics ?budget a b
-    else if a.m >= blocked_min_inner then mul_blocked ?pool ?metrics ?budget a b
+  let mul ?(ctx = Exec.default) a b =
+    if a.m >= m4r_min_inner && a.n >= m4r_min_rows then mul_m4r ~ctx a b
+    else if a.m >= blocked_min_inner then mul_blocked ~ctx a b
     else begin
-      tick_opt budget;
-      mul_naive ?metrics a b
+      tick_opt ctx.Exec.budget;
+      mul_naive ~ctx a b
     end
 
   (* Int-valued product of 0/1 matrices via per-word popcount of
      row(a) AND row(b^T): entries are bounded by the shared dimension,
      so (unlike an [Int.mul] power chain) counting never overflows. *)
-  let mul_count ?pool ?(metrics = Metrics.disabled) ?budget a b =
+  let mul_count ?(ctx = Exec.default) a b =
+    let { Exec.pool; budget; metrics } = ctx in
     if a.m <> b.n then invalid_arg "Matrix.Bool.mul_count: dimension mismatch";
     let bt =
       init b.m b.n (fun i j -> get b j i)
@@ -456,13 +455,14 @@ module Bool = struct
   (* First (i, j) in row-major order with a.row(i) AND b.row(j) = 0 —
      equivalently, the first zero entry of the Boolean product A * B^T.
      This is the blocked Orthogonal Vectors kernel: bands of [row_band]
-     left rows are scanned with early exit per band; under [?pool],
+     left rows are scanned with early exit per band; under a [ctx] pool,
      bands run on domains and a band is skipped only once a
      lower-indexed band has already found a witness, so the returned
      pair is deterministic (always the row-major-first one).
-     "matmul.words" under [?pool] depends on how much work the skip
+     "matmul.words" under a pool depends on how much work the skip
      saves and is only deterministic on the sequential path. *)
-  let find_orthogonal_rows ?pool ?(metrics = Metrics.disabled) ?budget a b =
+  let find_orthogonal_rows ?(ctx = Exec.default) a b =
+    let { Exec.pool; budget; metrics } = ctx in
     if a.m <> b.m then
       invalid_arg "Matrix.Bool.find_orthogonal_rows: column-count mismatch";
     let words = min a.words b.words in
@@ -589,33 +589,4 @@ module Bool = struct
       done
     done;
     r
-
-  (* --- public surface: one [?ctx] (Exec.t) instead of the labelled
-     resource triple; the internal kernels above keep the explicit
-     labels.  [mul_naive] stays label-free apart from [?metrics]: it is
-     the sequential oracle path and takes neither pool nor budget. *)
-
-  let mul_blocked ?ctx a b =
-    let ex = Exec.resolve ?ctx () in
-    mul_blocked ?pool:ex.Exec.pool ~metrics:ex.Exec.metrics
-      ?budget:ex.Exec.budget a b
-
-  let mul_m4r ?ctx a b =
-    let ex = Exec.resolve ?ctx () in
-    mul_m4r ?pool:ex.Exec.pool ~metrics:ex.Exec.metrics ?budget:ex.Exec.budget
-      a b
-
-  let mul ?ctx a b =
-    let ex = Exec.resolve ?ctx () in
-    mul ?pool:ex.Exec.pool ~metrics:ex.Exec.metrics ?budget:ex.Exec.budget a b
-
-  let mul_count ?ctx a b =
-    let ex = Exec.resolve ?ctx () in
-    mul_count ?pool:ex.Exec.pool ~metrics:ex.Exec.metrics
-      ?budget:ex.Exec.budget a b
-
-  let find_orthogonal_rows ?ctx a b =
-    let ex = Exec.resolve ?ctx () in
-    find_orthogonal_rows ?pool:ex.Exec.pool ~metrics:ex.Exec.metrics
-      ?budget:ex.Exec.budget a b
 end

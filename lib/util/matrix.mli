@@ -72,9 +72,9 @@ module Bool : sig
       without changing the output. *)
   val mul : ?ctx:Exec.t -> t -> t -> t
 
-  (** The naive per-bit loop: small-case and oracle path (sequential,
-      unbudgeted - hence no [?ctx]). *)
-  val mul_naive : ?metrics:Metrics.t -> t -> t -> t
+  (** The naive per-bit loop: small-case and oracle path.  Sequential
+      and unbudgeted: only the [ctx] metrics sink is used. *)
+  val mul_naive : ?ctx:Exec.t -> t -> t -> t
 
   (** Cache-blocked word-scan over k-blocks of 252 columns. *)
   val mul_blocked : ?ctx:Exec.t -> t -> t -> t

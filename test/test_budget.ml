@@ -4,6 +4,7 @@
 
 module Budget = Lb_util.Budget
 module Metrics = Lb_util.Metrics
+module Exec = Lb_util.Exec
 module Prng = Lb_util.Prng
 module Cnf = Lb_sat.Cnf
 module Dpll = Lb_sat.Dpll
@@ -54,7 +55,7 @@ let dpll_deadline_prompt () =
   let f = hard_cnf () in
   let budget = Budget.create ~seconds:0.05 () in
   let t0 = Unix.gettimeofday () in
-  let outcome = Dpll.solve_bounded ~budget f in
+  let outcome = Dpll.solve_bounded ~ctx:(Exec.make ~budget ()) f in
   let elapsed = Unix.gettimeofday () -. t0 in
   (match outcome with
   | Budget.Exhausted e ->
@@ -71,13 +72,13 @@ let cancellation_rerunnable () =
   let f = hard_cnf () in
   (* budgeted run: exhausts *)
   let budget = Budget.create ~ticks:500 () in
-  (match Dpll.solve_bounded ~budget f with
+  (match Dpll.solve_bounded ~ctx:(Exec.make ~budget ()) f with
   | Budget.Exhausted e -> Alcotest.(check int) "ticks = 500" 500 e.Budget.ticks
   | Budget.Done _ -> Alcotest.fail "500 ticks cannot finish this instance");
   (* cancellation: fires on the next tick *)
   let b2 = Budget.create () in
   Budget.cancel b2;
-  (match Dpll.solve_bounded ~budget:b2 f with
+  (match Dpll.solve_bounded ~ctx:(Exec.make ~budget:b2 ()) f with
   | Budget.Exhausted e ->
       Alcotest.(check bool) "reason = Cancelled" true
         (e.Budget.reason = Budget.Cancelled)
@@ -90,7 +91,7 @@ let cancellation_rerunnable () =
   let run () =
     let stats = Dpll.fresh_stats () in
     let budget = Budget.create ~ticks:500 () in
-    ignore (Dpll.solve_bounded ~stats ~budget f);
+    ignore (Dpll.solve_bounded ~stats ~ctx:(Exec.make ~budget ()) f);
     (stats.Dpll.decisions, stats.Dpll.propagations)
   in
   Alcotest.(check bool) "interrupted runs are reproducible" true
@@ -104,7 +105,7 @@ let csp_budget_partial_stats () =
   in
   let stats = Lb_csp.Solver.fresh_stats () in
   let budget = Budget.create ~ticks:200 () in
-  match Lb_csp.Solver.count_bounded ~stats ~budget csp with
+  match Lb_csp.Solver.count_bounded ~stats ~ctx:(Exec.make ~budget ()) csp with
   | Budget.Exhausted _ ->
       Alcotest.(check bool) "stats filled up to interruption" true
         (stats.Lb_csp.Solver.nodes > 0)
@@ -141,9 +142,11 @@ let metrics_json_roundtrip () =
 let disabled_metrics_identical () =
   let f = hard_cnf () in
   let s1 = Dpll.fresh_stats () and s2 = Dpll.fresh_stats () in
-  let r1 = Dpll.solve ~stats:s1 ~metrics:Metrics.disabled f in
+  let r1 =
+    Dpll.solve ~stats:s1 ~ctx:(Exec.make ~metrics:Metrics.disabled ()) f
+  in
   let m = Metrics.create () in
-  let r2 = Dpll.solve ~stats:s2 ~metrics:m f in
+  let r2 = Dpll.solve ~stats:s2 ~ctx:(Exec.make ~metrics:m ()) f in
   Alcotest.(check bool) "same verdict" true ((r1 <> None) = (r2 <> None));
   Alcotest.(check int) "same decisions" s1.Dpll.decisions s2.Dpll.decisions;
   Alcotest.(check int) "same propagations" s1.Dpll.propagations
@@ -184,12 +187,12 @@ let budget_across_engines () =
   Alcotest.(check bool) "generic join" true
     (exhausted
        (Lb_relalg.Generic_join.count_bounded
-          ~ctx:(Lb_util.Exec.make ~budget:(Budget.create ~ticks:5 ()) ())
+          ~ctx:(Exec.make ~budget:(Budget.create ~ticks:5 ()) ())
           db q));
   Alcotest.(check bool) "leapfrog" true
     (exhausted
        (Lb_relalg.Leapfrog.count_bounded
-          ~ctx:(Lb_util.Exec.make ~budget:(Budget.create ~ticks:5 ()) ())
+          ~ctx:(Exec.make ~budget:(Budget.create ~ticks:5 ()) ())
           db q));
   let a = Array.init 400 (fun i -> i) in
   let exhausts_dp f = match f () with
@@ -199,30 +202,33 @@ let budget_across_engines () =
   Alcotest.(check bool) "edit distance" true
     (exhausts_dp (fun () ->
          Lb_finegrained.Edit_distance.quadratic
-           ~budget:(Budget.create ~ticks:5 ()) a a));
+           ~ctx:(Exec.make ~budget:(Budget.create ~ticks:5 ()) ()) a a));
   Alcotest.(check bool) "lcs" true
     (exhausts_dp (fun () ->
-         Lb_finegrained.Lcs.quadratic ~budget:(Budget.create ~ticks:5 ()) a a))
+         Lb_finegrained.Lcs.quadratic
+           ~ctx:(Exec.make ~budget:(Budget.create ~ticks:5 ()) ()) a a))
 
-(* The deprecated labelled arguments survive the Exec migration: the
-   legacy ?budget/?metrics spellings on Freuder still govern and record
-   exactly as before, and Yannakakis - newly governable - honours a ctx
-   budget and records its stats into the ctx sink. *)
-let legacy_wrappers_freuder_yannakakis () =
+(* Freuder governs and records through its ctx, and Yannakakis honours
+   a ctx budget and records its stats into the ctx sink. *)
+let ctx_governs_freuder_yannakakis () =
   let rng = Prng.create 77 in
   let csp, _, _ =
     Lb_csp.Generators.bounded_treewidth rng ~nvars:30 ~width:2 ~domain_size:5
       ~density:0.8 ~plant:true
   in
   let metrics = Metrics.create () in
-  let n = Lb_csp.Freuder.count ~metrics csp in
+  let n = Lb_csp.Freuder.count ~ctx:(Exec.make ~metrics ()) csp in
   Alcotest.(check bool) "freuder counted something" true (n >= 1);
   (match Metrics.find_counter metrics "freuder.bags" with
   | Some b when b >= 1 -> ()
-  | _ -> Alcotest.fail "legacy ~metrics did not record freuder.bags");
-  (match Lb_csp.Freuder.count_bounded ~budget:(Budget.create ~ticks:2 ()) csp with
+  | _ -> Alcotest.fail "ctx metrics did not record freuder.bags");
+  (match
+     Lb_csp.Freuder.count_bounded
+       ~ctx:(Exec.make ~budget:(Budget.create ~ticks:2 ()) ())
+       csp
+   with
   | Budget.Exhausted e ->
-      Alcotest.(check bool) "freuder legacy ~budget governs" true
+      Alcotest.(check bool) "freuder ctx budget governs" true
         (e.Budget.reason = Budget.Ticks)
   | Budget.Done _ -> Alcotest.fail "2 ticks should not finish Freuder");
   let db =
@@ -236,7 +242,7 @@ let legacy_wrappers_freuder_yannakakis () =
   let sink = Metrics.create () in
   let rel, stats =
     Lb_relalg.Yannakakis.answer
-      ~ctx:Lb_util.Exec.(default |> with_metrics sink)
+      ~ctx:(Exec.make ~metrics:sink ())
       db q
   in
   Alcotest.(check int) "yannakakis answer" 2 (Lb_relalg.Relation.cardinality rel);
@@ -246,13 +252,112 @@ let legacy_wrappers_freuder_yannakakis () =
   match
     Budget.protect (fun () ->
         Lb_relalg.Yannakakis.answer
-          ~ctx:Lb_util.Exec.(default |> with_budget (Budget.create ~ticks:1 ()))
+          ~ctx:(Exec.make ~budget:(Budget.create ~ticks:1 ()) ())
           db q)
   with
   | Budget.Exhausted e ->
       Alcotest.(check bool) "yannakakis ctx budget governs" true
         (e.Budget.reason = Budget.Ticks)
   | Budget.Done _ -> Alcotest.fail "1 tick should not finish Yannakakis"
+
+(* The ctx contract, one row per entry point not covered above: a
+   1-tick ctx budget stops it (raising [Budget_exhausted], or
+   [Exhausted] for the [*_bounded] forms), and a ctx metrics sink
+   receives exactly the counter names it records.
+   [Matrix.Bool.mul_naive] is the unbudgeted oracle kernel: it ignores
+   the budget and completes. *)
+let ctx_contract () =
+  let rng = Prng.create 5 in
+  let csp, _, _ =
+    Lb_csp.Generators.bounded_treewidth rng ~nvars:8 ~width:2 ~domain_size:3
+      ~density:0.8 ~plant:true
+  in
+  let graph n edges =
+    let s = Lb_structure.Structure.create [ ("E", 2) ] n in
+    List.iter
+      (fun (u, v) ->
+        Lb_structure.Structure.add_tuple s "E" [| u; v |];
+        Lb_structure.Structure.add_tuple s "E" [| v; u |])
+      edges;
+    s
+  in
+  let c5 = graph 5 (List.init 5 (fun i -> (i, (i + 1) mod 5))) in
+  let k3 = graph 3 [ (0, 1); (1, 2); (0, 2) ] in
+  let s1 = Array.init 40 (fun i -> i mod 7)
+  and s2 = Array.init 40 (fun i -> i mod 5) in
+  let db =
+    let rel x y =
+      Lb_relalg.Relation.make [| x; y |] [ [| 1; 2 |]; [| 2; 3 |] ]
+    in
+    Lb_relalg.Database.of_list
+      [ ("R", rel "a" "b"); ("S", rel "b" "c"); ("T", rel "c" "d") ]
+  in
+  let path = Lb_relalg.Query.parse "R(a,b), S(b,c), T(c,d)" in
+  let m = Lb_util.Matrix.Bool.init 4 4 (fun i j -> (i + j) mod 2 = 0) in
+  let raises f ctx =
+    match f ctx with
+    | (_ : unit) -> false
+    | exception Budget.Budget_exhausted _ -> true
+  in
+  let bounded f ctx =
+    match f ctx with Budget.Exhausted _ -> true | Budget.Done _ -> false
+  in
+  let freuder = [ "freuder.bag_assignments"; "freuder.bags" ] in
+  let nice = [ "freuder_nice.introduce_entries" ] in
+  let module Hom = Lb_csp.Hom in
+  let module Nice = Lb_csp.Freuder_nice in
+  let module Ed = Lb_finegrained.Edit_distance in
+  let module Lcs = Lb_finegrained.Lcs in
+  let rows =
+    [
+      ( "Hom.decide", true, freuder,
+        raises (fun ctx -> ignore (Hom.decide ~ctx c5 k3)) );
+      ( "Hom.count", true, freuder,
+        raises (fun ctx -> ignore (Hom.count ~ctx c5 k3)) );
+      ( "Hom.count_bruteforce", true, [],
+        raises (fun ctx -> ignore (Hom.count_bruteforce ~ctx c5 k3)) );
+      ( "Hom.decide_bounded", true, freuder,
+        bounded (fun ctx -> Hom.decide_bounded ~ctx c5 k3) );
+      ( "Hom.count_bounded", true, freuder,
+        bounded (fun ctx -> Hom.count_bounded ~ctx c5 k3) );
+      ( "Freuder_nice.count", true, nice,
+        raises (fun ctx -> ignore (Nice.count ~ctx csp)) );
+      ( "Freuder_nice.solvable", true, nice,
+        raises (fun ctx -> ignore (Nice.solvable ~ctx csp)) );
+      ( "Freuder_nice.count_bounded", true, nice,
+        bounded (fun ctx -> Nice.count_bounded ~ctx csp) );
+      ( "Csp.solve_bruteforce", true, [],
+        raises (fun ctx -> ignore (Lb_csp.Csp.solve_bruteforce ~ctx csp)) );
+      ( "Csp.count_bruteforce", true, [],
+        raises (fun ctx -> ignore (Lb_csp.Csp.count_bruteforce ~ctx csp)) );
+      ( "Edit_distance.quadratic", true, [],
+        raises (fun ctx -> ignore (Ed.quadratic ~ctx s1 s2)) );
+      ( "Edit_distance.banded", true, [],
+        raises (fun ctx -> ignore (Ed.banded ~ctx s1 s2 ~band:3)) );
+      ( "Edit_distance.adaptive", true, [],
+        raises (fun ctx -> ignore (Ed.adaptive ~ctx s1 s2)) );
+      ( "Lcs.quadratic", true, [],
+        raises (fun ctx -> ignore (Lcs.quadratic ~ctx s1 s2)) );
+      ( "Lcs.bitparallel", true, [],
+        raises (fun ctx -> ignore (Lcs.bitparallel ~ctx s1 s2)) );
+      ( "Yannakakis.full_reducer", true, [],
+        raises (fun ctx ->
+            ignore (Lb_relalg.Yannakakis.full_reducer ~ctx db path)) );
+      ( "Matrix.Bool.mul_naive", false, [ "matmul.words" ],
+        raises (fun ctx -> ignore (Lb_util.Matrix.Bool.mul_naive ~ctx m m)) );
+    ]
+  in
+  List.iter
+    (fun (name, budgeted, counters, exhausts) ->
+      let one_tick = Exec.make ~budget:(Budget.create ~ticks:1 ()) () in
+      Alcotest.(check bool) (name ^ ": 1-tick ctx budget stops it") budgeted
+        (exhausts one_tick);
+      let sink = Metrics.create () in
+      Alcotest.(check bool) (name ^ ": completes unbudgeted") false
+        (exhausts (Exec.make ~metrics:sink ()));
+      Alcotest.(check (list string)) (name ^ ": ctx sink counter names") counters
+        (List.sort compare (List.map fst (Metrics.counters sink))))
+    rows
 
 let suite =
   [
@@ -265,7 +370,6 @@ let suite =
     ("disabled metrics leave runs identical", `Quick, disabled_metrics_identical);
     ("metrics merge and clear", `Quick, metrics_merge_and_clear);
     ("typed exhaustion across engines", `Quick, budget_across_engines);
-    ( "legacy wrappers still govern (Freuder, Yannakakis ctx)",
-      `Quick,
-      legacy_wrappers_freuder_yannakakis );
+    ("ctx governs Freuder and Yannakakis", `Quick, ctx_governs_freuder_yannakakis);
+    ("ctx contract of every solver entry point", `Quick, ctx_contract);
   ]

@@ -444,7 +444,7 @@ let sharded_bit_identical ?(ks = [ 1; 2; 3; 7 ]) (db, q) =
         Lb_util.Pool.with_pool 2 (fun pool ->
             let pc = C.fresh_counters () in
             let n =
-              C.count_sharded ~ctx:Exec.(default |> with_pool pool)
+              C.count_sharded ~ctx:(Exec.make ~pool ())
                 ~counters:pc ~shards:k gj_ir db q
             in
             n = gj_ref.Gj.emitted
@@ -452,7 +452,7 @@ let sharded_bit_identical ?(ks = [ 1; 2; 3; 7 ]) (db, q) =
             &&
             let lc = C.fresh_counters () in
             let nl =
-              C.count_sharded ~ctx:Exec.(default |> with_pool pool)
+              C.count_sharded ~ctx:(Exec.make ~pool ())
                 ~counters:lc ~shards:k lf_ir db q
             in
             nl = lf_ref.Lf.emitted && lc.C.work = lf_ref.Lf.seeks)

@@ -694,6 +694,50 @@ let test_sharded_server_bit_identical () =
       (Planner.Leapfrog, "leapfrog.seeks");
     ]
 
+(* --- distributed fallback: transport failures only, counted by cause --- *)
+
+(* A scatter whose dispatcher fails in transport falls back to local
+   execution - the reply equals the sequential oracle's by value and
+   the per-cause counter records it - while any other exception from
+   the dispatcher is a bug and escapes the server. *)
+let test_dist_fallback_by_cause () =
+  let rng = Prng.create 2025 in
+  let edges = List.init 60 (fun _ -> [ Prng.int rng 12; Prng.int rng 12 ]) in
+  let req = query_req ~engine:Planner.Generic_join triangle_text in
+  let server_failing_with exn =
+    let srv =
+      Server.create ~config:{ Server.default_config with shards = 2 } ()
+    in
+    Server.set_dispatcher srv
+      {
+        Server.dispatch_query = (fun ~text:_ ~engine:_ -> raise exn);
+        notify_mutation = (fun ~version:_ _ -> ());
+      };
+    ignore (handle_ok srv "load E" (load_req "E" [ "u"; "v" ] edges));
+    srv
+  in
+  let srv =
+    server_failing_with (Unix.Unix_error (Unix.ECONNREFUSED, "connect", ""))
+  in
+  let reply = handle_ok srv "transport failure" req in
+  let q = Q.parse triangle_text in
+  let oracle =
+    Lb_relalg.Generic_join.answer (Catalog.database (Server.catalog srv)) q
+  in
+  check
+    Alcotest.(list (array int))
+    "fallback rows equal the sequential oracle's" (canonical_rows q oracle)
+    (rows_of_response reply);
+  let counter name = Metrics.find_counter (Server.metrics srv) name in
+  check Alcotest.(option int) "counted under its cause" (Some 1)
+    (counter "serve.dist.fallbacks.unix_error");
+  check Alcotest.(option int) "and in the fallback total" (Some 1)
+    (counter "serve.dist.fallbacks");
+  let srv = server_failing_with Not_found in
+  match Server.handle_line srv (Protocol.request_to_string req) with
+  | (_ : string) -> Alcotest.fail "a non-transport exception was swallowed"
+  | exception Not_found -> ()
+
 (* --- the compiled plan tier through the server --- *)
 
 (* Served WCOJ answers come from the compiled tier; they must equal the
@@ -817,4 +861,6 @@ let suite =
       test_sharded_server_bit_identical;
     Alcotest.test_case "compiled tier served bit-identical, plans cached"
       `Quick test_compile_tier_served;
+    Alcotest.test_case "dist fallback only on transport failures" `Quick
+      test_dist_fallback_by_cause;
   ]

@@ -516,7 +516,7 @@ let test_lru_weights () =
        false
      with Invalid_argument _ -> true)
 
-(* --- Exec: context building and legacy-argument resolution --- *)
+(* --- Exec: context building --- *)
 
 let test_exec_default_and_builders () =
   check Alcotest.bool "default has no pool" true (Exec.default.Exec.pool = None);
@@ -529,65 +529,41 @@ let test_exec_default_and_builders () =
   let b = Budget.create ~ticks:10 () in
   let m = Metrics.create () in
   Pool.with_pool 2 (fun pool ->
-      let ctx =
-        Exec.(default |> with_pool pool |> with_budget b |> with_metrics m)
-      in
-      check Alcotest.bool "with_pool sets pool" true
-        (same_pool pool ctx.Exec.pool);
-      check Alcotest.bool "with_budget sets budget" true
-        (same_budget b ctx.Exec.budget);
-      check Alcotest.bool "with_metrics sets metrics" true
-        (ctx.Exec.metrics == m);
+      (* one part at a time: the others keep [default]'s values *)
+      let only_pool = Exec.make ~pool () in
+      check Alcotest.bool "make ~pool sets only pool" true
+        (same_pool pool only_pool.Exec.pool
+        && only_pool.Exec.budget = None
+        && only_pool.Exec.metrics == Exec.default.Exec.metrics);
+      let only_budget = Exec.make ~budget:b () in
+      check Alcotest.bool "make ~budget sets only budget" true
+        (same_budget b only_budget.Exec.budget && only_budget.Exec.pool = None);
+      let only_metrics = Exec.make ~metrics:m () in
+      check Alcotest.bool "make ~metrics sets only metrics" true
+        (only_metrics.Exec.metrics == m
+        && only_metrics.Exec.pool = None
+        && only_metrics.Exec.budget = None);
       let made = Exec.make ~pool ~budget:b ~metrics:m () in
-      check Alcotest.bool "make agrees with builders" true
+      check Alcotest.bool "make sets all three" true
         (same_pool pool made.Exec.pool
         && same_budget b made.Exec.budget
         && made.Exec.metrics == m))
 
-let test_exec_resolve_precedence () =
-  let same_budget b = function Some b' -> b' == b | None -> false in
-  (* no ctx, no legacy args: the historical default *)
-  let r = Exec.resolve () in
-  check Alcotest.bool "bare resolve is default" true
-    (r.Exec.pool = None && r.Exec.budget = None
-    && not (Metrics.is_enabled r.Exec.metrics));
-  (* ctx fields flow through when no legacy argument is given *)
-  let b_ctx = Budget.create ~ticks:5 () in
-  let m_ctx = Metrics.create () in
-  let ctx = Exec.make ~budget:b_ctx ~metrics:m_ctx () in
-  let r = Exec.resolve ~ctx () in
-  check Alcotest.bool "ctx budget flows through" true
-    (same_budget b_ctx r.Exec.budget);
-  check Alcotest.bool "ctx metrics flow through" true (r.Exec.metrics == m_ctx);
-  (* an explicit legacy argument overrides the ctx field, others keep it *)
-  let b_arg = Budget.create ~ticks:99 () in
-  let r = Exec.resolve ~ctx ~budget:b_arg () in
-  check Alcotest.bool "explicit budget wins over ctx" true
-    (same_budget b_arg r.Exec.budget);
-  check Alcotest.bool "untouched field kept from ctx" true
-    (r.Exec.metrics == m_ctx);
-  let m_arg = Metrics.create () in
-  let r = Exec.resolve ~ctx ~metrics:m_arg () in
-  check Alcotest.bool "explicit metrics win over ctx" true
-    (r.Exec.metrics == m_arg);
-  check Alcotest.bool "budget still from ctx" true
-    (same_budget b_ctx r.Exec.budget)
-
-let test_exec_resolve_in_solver () =
+let test_exec_ctx_in_solver () =
   (* the ctx contract, observed end to end: the same solver entry point
      records into whichever metrics sink its context carries, whether
-     the context is built by composition (default |> with_metrics) or
-     in one shot (Exec.make), and the two are indistinguishable *)
+     the context is a record update of [Exec.default] or built by
+     [Exec.make], and the two are indistinguishable *)
   let db =
     Lb_relalg.Database.of_list
       [ ("E", Lb_relalg.Relation.make [| "u"; "v" |]
             [ [| 1; 2 |]; [| 2; 3 |]; [| 3; 1 |] ]) ]
   in
   let q = Lb_relalg.Query.parse "E(x,y), E(y,z), E(z,x)" in
-  let via_compose = Metrics.create () in
+  let via_update = Metrics.create () in
   let n1 =
     Lb_relalg.Generic_join.count
-      ~ctx:Exec.(default |> with_metrics via_compose)
+      ~ctx:{ Exec.default with Exec.metrics = via_update }
       db q
   in
   let via_make = Metrics.create () in
@@ -603,8 +579,8 @@ let test_exec_resolve_in_solver () =
   check Alcotest.int "same answer" n1 n2;
   check Alcotest.int "same answer (fresh sink)" n1 n3;
   let builds m = Metrics.find_counter m "generic_join.trie_builds" in
-  check Alcotest.(option int) "composed sink recorded" (Some 1)
-    (builds via_compose);
+  check Alcotest.(option int) "record-update sink recorded" (Some 1)
+    (builds via_update);
   check Alcotest.(option int) "Exec.make sink recorded" (Some 1)
     (builds via_make);
   check Alcotest.(option int) "unrelated sink untouched" None
@@ -662,8 +638,6 @@ let suite =
     Alcotest.test_case "lru weighted eviction" `Quick test_lru_weights;
     Alcotest.test_case "exec default and builders" `Quick
       test_exec_default_and_builders;
-    Alcotest.test_case "exec resolve precedence" `Quick
-      test_exec_resolve_precedence;
-    Alcotest.test_case "exec resolve observed through a solver" `Quick
-      test_exec_resolve_in_solver;
+    Alcotest.test_case "exec ctx observed through a solver" `Quick
+      test_exec_ctx_in_solver;
   ]
