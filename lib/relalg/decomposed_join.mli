@@ -5,7 +5,8 @@
     Evaluates bounded-fhw cyclic queries in polynomial time: strictly
     more than bounded treewidth, strictly more than acyclicity.
 
-    The planner's decomposition route runs through {!answer}: [ctx]
+    The planner's decomposition route runs through {!race}, which
+    calls {!answer} only when a budgeted flat join runs out.  {!answer}: [ctx]
     governs every bag join and the final Yannakakis pass (budget ticks
     at the engines' usual charging points, [decomposed_join.bags] /
     [decomposed_join.bag_tuples] counters plus the engines' own), and
@@ -49,3 +50,33 @@ val boolean_answer :
   Database.t ->
   Query.t ->
   bool
+
+(** Which route answered a {!race}: the flat WCOJ within its budget, or
+    the bags after it ran out (with their statistics). *)
+type verdict = Flat | Bags of stats
+
+(** The race's tick budget B for a decomposition: the sum over its bags
+    of N^{rho*(bag)} ({!Lb_hypergraph.Fhw.bag_cover}), with N the
+    largest relation the query reads (at least 1), rounded and clamped
+    to [[1, max_int]]. *)
+val race_budget :
+  Lb_graph.Tree_decomposition.t -> Database.t -> Query.t -> int
+
+(** The evidence race behind the planner's decomposition route.  The
+    flat compiled WCOJ (Leapfrog when every atom has arity <= 2,
+    Generic Join otherwise) runs first on the sequential driver, under
+    a {!Lb_util.Budget.child} of [ctx]'s budget holding {!race_budget}
+    ticks; only if that child's limit fires does {!answer} materialize
+    the bags (compiled, under [ctx], pool included).  The verdict
+    depends on the data alone: not on the pool, not on the clock.
+    Exhaustion of [ctx]'s own budget propagates as
+    {!Lb_util.Budget.Budget_exhausted}.  Counters: [decomposed.race.budget]
+    (B), exactly one of [decomposed.race.flat] / [decomposed.race.bags]
+    set to 1, and the flat attempt's [leapfrog.*] or [generic_join.*]
+    counters. *)
+val race :
+  ?ctx:Lb_util.Exec.t ->
+  ?decomposition:Lb_graph.Tree_decomposition.t ->
+  Database.t ->
+  Query.t ->
+  Relation.t * verdict

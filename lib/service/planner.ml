@@ -2,8 +2,12 @@
 
      acyclic              -> Yannakakis   (O(input + output), exponent 1)
      <= 2 atoms           -> Binary_hash  (a single hash join is optimal)
-     cyclic, fhw < rho*   -> Decomposed   (bag materialization at N^fhw
-                                           + Yannakakis over the join tree)
+     cyclic, fhw < rho*   -> Decomposed   (raced: flat WCOJ under the tick
+                                           budget B = sum over bags of
+                                           N^{rho*(bag)}; only if B runs
+                                           out, bag materialization at
+                                           N^fhw + Yannakakis over the
+                                           join tree)
      cyclic, arity <= 2   -> Leapfrog     (graph-shaped: sorted streams win)
      cyclic, arity  > 2   -> Generic_join (columnar tries at any arity)
 
@@ -16,7 +20,12 @@
    N^{rho*(bag)} <= N^{fhw}, so whenever fhw < rho* the decomposition
    strictly beats the flat engines on worst-case data - the
    Fan-Koutris / Ngo upper-bound recipe the paper's Section 3-4
-   machinery composes into. *)
+   machinery composes into.  Worst-case data is the exception, so a
+   planner-chosen decomposition route is raced on evidence
+   ([Lb_relalg.Decomposed_join.race]): the flat loop nest gets the
+   bags' own worst-case bound as its tick budget, which keeps the
+   N^fhw guarantee within a factor of about 2.  A forced
+   ["engine":"decomposed"] always materializes the bags. *)
 
 module Q = Lb_relalg.Query
 module Cost = Lb_relalg.Cost
@@ -225,15 +234,39 @@ let build ?(compile = true) ?info ~forced engine db (q : Q.t) =
       let rho_str =
         match rho with Some r -> Printf.sprintf "%.3f" r | None -> "undefined"
       in
-      mk ~forced ~acyclic ~rho ~fhw:w ~decomposition:td ~exponent:w
-        ~why:
+      let bags_line =
+        Printf.sprintf
+          "materialize %d bags by worst-case-optimal join, each capped at \
+           N^%.3f (Theorem 3.1), then Yannakakis over the join tree"
+          (Td.bag_count td) w
+      in
+      let why =
+        if forced then
+          [
+            Printf.sprintf "route: decomposition (fhw %.3f vs rho* %s): %s" w
+              rho_str bags_line;
+          ]
+        else
+          let h = Q.hypergraph q in
+          let terms =
+            Array.to_list (Td.bags td)
+            |> List.map (fun bag ->
+                   Printf.sprintf "N^%.3f" (Fhw.bag_cover h bag))
+          in
           [
             Printf.sprintf
-              "route: decomposition (fhw %.3f vs rho* %s): materialize %d \
-               bags by worst-case-optimal join, each capped at N^%.3f \
-               (Theorem 3.1), then Yannakakis over the join tree"
-              w rho_str (Td.bag_count td) w;
+              "route: decomposition, raced (fhw %.3f vs rho* %s): flat %s \
+               first under a tick budget B = sum over the bags of \
+               N^{rho*(bag)} = %s, N the largest relation"
+              w rho_str
+              (if max_arity q <= 2 then "leapfrog" else "generic join")
+              (String.concat " + " terms);
+            Printf.sprintf
+              "fallback when B runs out: %s; total work O(B + N^%.3f)"
+              bags_line w;
           ]
+      in
+      mk ~forced ~acyclic ~rho ~fhw:w ~decomposition:td ~exponent:w ~why
         Decomposed q
 
 let choose_engine ~info ~rho (q : Q.t) =

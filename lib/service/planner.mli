@@ -60,8 +60,12 @@ type plan = {
     - acyclic queries run Yannakakis (predicted exponent 1.0);
     - at most two atoms run a direct hash join (nothing to gain from
       tries);
-    - cyclic queries whose fhw beats rho* route through decomposition
-      (bag materialization at N^{fhw} + Yannakakis);
+    - cyclic queries whose fhw beats rho* route through decomposition,
+      raced on evidence: the flat WCOJ first under the bags' bound
+      B = sum of N^{rho*(bag)}, bag materialization at N^{fhw} +
+      Yannakakis only if B runs out
+      ({!Lb_relalg.Decomposed_join.race}; a forced [Decomposed] plan
+      always materializes);
     - remaining cyclic queries of arity <= 2 run Leapfrog, higher
       arities Generic Join - both at the AGM exponent, which the
       greedy binary plan's prefix exponent can only match or exceed.

@@ -77,6 +77,10 @@ type centry = {
   vv : (string * int) list;
 }
 
+(* A plan-cache entry: the plan and the distinct relations its query
+   reads, which is what a write retires it by. *)
+type pentry = { plan : Planner.plan; prels : string list }
+
 type durable = {
   dir : string;
   writer : Wal.writer;
@@ -111,7 +115,7 @@ type dispatcher = {
 type t = {
   config : config;
   catalog : Catalog.t;
-  plan_cache : (string, Planner.plan) Lru.t;
+  plan_cache : (string, pentry) Lru.t;
   result_cache : (string, centry) Lru.t;
   metrics : Metrics.t;
   mutable durable : durable option;
@@ -156,6 +160,22 @@ let run_wcoj ~ctx ?ir ?view ?subset ~shards engine db q =
       Lb_relalg.Compile.run_sharded ~ctx ~view ?subset ~shards ir db q
   | _ -> Lb_relalg.Compile.answer ~ctx ir db q
 
+(* The decomposition route: a planner-chosen plan races the flat WCOJ
+   against its bag bound and builds bags only when that runs out; a
+   forced ["engine":"decomposed"] plan always builds them.  The bag
+   statistics come back when bags were built. *)
+let run_decomposed ~ctx (plan : Planner.plan) db q =
+  let decomposition = plan.Planner.decomposition in
+  if plan.Planner.forced then
+    let rel, stats =
+      Lb_relalg.Decomposed_join.answer ~ctx ~compile:true ?decomposition db q
+    in
+    (rel, Some stats)
+  else
+    match Lb_relalg.Decomposed_join.race ~ctx ?decomposition db q with
+    | rel, Lb_relalg.Decomposed_join.Flat -> (rel, None)
+    | rel, Lb_relalg.Decomposed_join.Bags stats -> (rel, Some stats)
+
 (* --- IVM: result-cache maintenance across writes --- *)
 
 (* Maintenance queries run through whatever engine the planner picks
@@ -171,29 +191,19 @@ let runner t : Ivm.runner =
   | Planner.Binary_hash -> fst (Lb_relalg.Binary_plan.run db q)
   | (Planner.Generic_join | Planner.Leapfrog) as e ->
       run_wcoj ~ctx ?ir:plan.Planner.compiled ~shards:1 e db q
-  | Planner.Decomposed ->
-      fst
-        (Lb_relalg.Decomposed_join.answer ~ctx ~compile:true
-           ?decomposition:plan.Planner.decomposition db q)
+  | Planner.Decomposed -> fst (run_decomposed ~ctx plan db q)
 
 (* Plans mention cardinalities (engine choice, greedy atom orders), so
    a write to [name] retires the plans of queries that read it; plans
-   over other relations survive.  Plan-cache keys are "engine|<text>"
-   with <text> produced by Q.to_string, so it re-parses exactly. *)
+   over other relations survive.  Each entry carries the relations its
+   query reads, so a write scans the cache without parsing. *)
 let invalidate_plans t name =
   List.iter
-    (fun (key, _) ->
-      match String.index_opt key '|' with
-      | None -> ()
-      | Some i -> (
-          let text = String.sub key (i + 1) (String.length key - i - 1) in
-          match Q.parse text with
-          | exception Q.Parse_error _ -> ()
-          | q ->
-              if List.exists (fun (a : Q.atom) -> a.Q.rel = name) q then begin
-                Lru.remove t.plan_cache key;
-                incr t "serve.ivm.plan_invalidations"
-              end))
+    (fun (key, (e : pentry)) ->
+      if List.mem name e.prels then begin
+        Lru.remove t.plan_cache key;
+        incr t "serve.ivm.plan_invalidations"
+      end)
     (Lru.to_list t.plan_cache)
 
 (* Drop every cached result over [name] (loads, drops, and the
@@ -641,16 +651,14 @@ let run_engine ?pool (task : task) db =
       Option.iter Budget.check budget;
       rel
   | Planner.Decomposed ->
-      (* Bag materialization + Yannakakis; the plan carries the
-         realizing decomposition, and each bag's WCOJ runs the
-         compiled loop-nest tier. *)
+      (* The plan carries the realizing decomposition; the flat race
+         and each bag's WCOJ run the compiled loop-nest tier. *)
       Option.iter Budget.check budget;
-      let rel, stats =
-        Lb_relalg.Decomposed_join.answer ~ctx ~compile:true
-          ?decomposition:task.plan.Planner.decomposition db q
-      in
-      Metrics.add sink "decomposed.max_bag_tuples"
-        stats.Lb_relalg.Decomposed_join.max_bag_tuples;
+      let rel, stats = run_decomposed ~ctx task.plan db q in
+      Option.iter
+        (fun (s : Lb_relalg.Decomposed_join.stats) ->
+          Metrics.add sink "decomposed.max_bag_tuples" s.max_bag_tuples)
+        stats;
       Option.iter Budget.check budget;
       rel
 
@@ -823,7 +831,7 @@ let plan_of t (q : Q.t) canonical (engine : Planner.engine option) =
   let tag = match engine with None -> "auto" | Some e -> Planner.engine_name e in
   let key = tag ^ "|" ^ canonical in
   match Lru.find t.plan_cache key with
-  | Some plan ->
+  | Some { plan; _ } ->
       incr t "serve.cache.plan.hits";
       if plan.Planner.compiled <> None then incr t "serve.compile.hits";
       Ok plan
@@ -838,7 +846,8 @@ let plan_of t (q : Q.t) canonical (engine : Planner.engine option) =
       match planned with
       | Ok plan ->
           if plan.Planner.compiled <> None then incr t "serve.compile.misses";
-          Lru.put ~weight:(plan_weight plan) t.plan_cache key plan;
+          Lru.put ~weight:(plan_weight plan) t.plan_cache key
+            { plan; prels = rels_of q };
           incr t ("serve.plan." ^ Planner.engine_name plan.Planner.engine);
           Ok plan
       | Error _ as e -> e)

@@ -27,6 +27,7 @@ type t = {
   mutable used : int;
   mutable next_poll : int; (* used-value at which to read the clock *)
   mutable cancelled : bool;
+  parent : t option; (* charged on every tick; its limits also apply *)
 }
 
 let quantum = 256
@@ -51,7 +52,10 @@ let create ?ticks ?seconds () =
     used = 0;
     next_poll = quantum;
     cancelled = false;
+    parent = None;
   }
+
+let child ~ticks parent = { (create ~ticks ()) with parent }
 
 let used t = t.used
 
@@ -62,13 +66,17 @@ let cancelled t = t.cancelled
 let exhaust t reason =
   raise (Budget_exhausted { reason; ticks = t.used; elapsed = elapsed t })
 
-let check t =
+let rec check t =
   if t.cancelled then exhaust t Cancelled;
-  if t.seconds < infinity && now () > t.deadline then exhaust t Deadline
+  if t.seconds < infinity && now () > t.deadline then exhaust t Deadline;
+  Option.iter check t.parent
 
-let tick t =
+(* A child checks its own limit before charging the parent, so when
+   the parent raises, the child's count is still below its limit. *)
+let rec tick t =
   if t.cancelled then exhaust t Cancelled;
   if t.used >= t.limit then exhaust t Ticks;
+  (match t.parent with Some p -> tick p | None -> ());
   t.used <- t.used + 1;
   if t.used >= t.next_poll then begin
     t.next_poll <- t.used + quantum;

@@ -39,12 +39,22 @@ val quantum : int
     are unlimited.  Raises [Invalid_argument] on nonpositive limits. *)
 val create : ?ticks:int -> ?seconds:float -> unit -> t
 
+(** [child ~ticks parent] is a budget of [ticks] ticks nested in
+    [parent]: each of its ticks also charges [parent], and [parent]'s
+    tick limit, deadline and cancellation apply to it, raising
+    [parent]'s own exhaustion.  When the child's own limit fires,
+    {!used} of the child equals [ticks]; when [parent] fires first, it
+    is below [ticks] - so a caller can tell its local cap from the
+    enclosing request's limits.  [None] makes a standalone budget of
+    [ticks] ticks.  Raises [Invalid_argument] on nonpositive [ticks]. *)
+val child : ticks:int -> t option -> t
+
 (** Consume one tick; raises {!Budget_exhausted} when the budget is
     spent, the deadline has passed, or the budget was cancelled. *)
 val tick : t -> unit
 
 (** Re-check limits without consuming a tick (deadline and
-    cancellation only; cheap). *)
+    cancellation only, a child's parent included; cheap). *)
 val check : t -> unit
 
 (** Cooperative cancellation: the next [tick]/[check] (from any

@@ -32,6 +32,49 @@ let tick_limit_exact () =
   | () -> Alcotest.fail "stays exhausted"
   | exception Budget.Budget_exhausted _ -> ()
 
+(* A child charges its parent on every tick.  Its own limit fires with
+   the child's count at the limit; the parent's limit and cancellation
+   fire as the parent's exhaustion, with the child still below its
+   limit - which is how a caller tells the two apart. *)
+let child_budget () =
+  let parent = Budget.create ~ticks:100 () in
+  let c = Budget.child ~ticks:5 (Some parent) in
+  for _ = 1 to 5 do
+    Budget.tick c
+  done;
+  Alcotest.(check int) "parent charged" 5 (Budget.used parent);
+  (match Budget.tick c with
+  | () -> Alcotest.fail "the child's 6th tick must raise"
+  | exception Budget.Budget_exhausted e ->
+      Alcotest.(check int) "child's own count" 5 e.Budget.ticks;
+      Alcotest.(check int) "child at its limit" 5 (Budget.used c));
+  Alcotest.(check int) "refused tick not charged" 5 (Budget.used parent);
+  let parent = Budget.create ~ticks:3 () in
+  let c = Budget.child ~ticks:10 (Some parent) in
+  (match
+     for _ = 1 to 10 do
+       Budget.tick c
+     done
+   with
+  | () -> Alcotest.fail "the parent's limit must fire"
+  | exception Budget.Budget_exhausted e ->
+      Alcotest.(check int) "parent's count" 3 e.Budget.ticks;
+      Alcotest.(check bool) "child below its limit" true (Budget.used c < 10));
+  let parent = Budget.create () in
+  let c = Budget.child ~ticks:10 (Some parent) in
+  Budget.cancel parent;
+  (match Budget.check c with
+  | () -> Alcotest.fail "parent cancellation must reach the child"
+  | exception Budget.Budget_exhausted e ->
+      Alcotest.(check bool) "reason = Cancelled" true
+        (e.Budget.reason = Budget.Cancelled));
+  let c = Budget.child ~ticks:2 None in
+  Budget.tick c;
+  Budget.tick c;
+  match Budget.tick c with
+  | () -> Alcotest.fail "a standalone child keeps its limit"
+  | exception Budget.Budget_exhausted _ -> ()
+
 let deadline_within_quantum () =
   (* an already-expired deadline must fire within one polling quantum
      of ticks *)
@@ -362,6 +405,7 @@ let ctx_contract () =
 let suite =
   [
     ("tick limit is exact", `Quick, tick_limit_exact);
+    ("child budget charges its parent", `Quick, child_budget);
     ("deadline fires within one quantum", `Quick, deadline_within_quantum);
     ("50ms deadline on hard DPLL returns promptly", `Quick, dpll_deadline_prompt);
     ("cancellation leaves solvers re-runnable", `Quick, cancellation_rerunnable);

@@ -479,6 +479,65 @@ let test_server_ivm_differential () =
         compare_query "final" (List.hd queries)
       done)
 
+(* --- a cached 5-cycle across writes --- *)
+
+(* The 5-cycle routes to the raced decomposition, and so do its
+   maintenance terms: after every insert and delete the IVM-maintained
+   cached answer must equal a server that recomputes from scratch, and
+   the maintenance must have run through the race. *)
+let test_five_cycle_maintained () =
+  let rng = Prng.create 5_005 in
+  let text = "E(a,b), F(b,c), E(c,d), F(d,e), E(e,a)" in
+  let ivm = Server.create () in
+  let oracle =
+    Server.create ~config:{ Server.default_config with ivm = false } ()
+  in
+  let both ctxt req =
+    List.map
+      (fun srv ->
+        let reply = Server.handle srv req in
+        expect_ok ctxt reply;
+        reply)
+      [ ivm; oracle ]
+  in
+  let rows n = List.map Array.to_list (random_rows rng ~width:2 ~n ~dom:6) in
+  List.iter
+    (fun name ->
+      ignore
+        (both ("load " ^ name)
+           (Protocol.Load { name; attrs = [ "u"; "v" ]; tuples = rows 14 })))
+    [ "E"; "F" ];
+  let query = Protocol.Query { text; opts = Protocol.default_opts } in
+  ignore (both "warm" query);
+  let race_runs () =
+    List.fold_left
+      (fun acc name ->
+        acc
+        + Option.value ~default:0
+            (Metrics.find_counter (Server.metrics ivm) name))
+      0
+      [ "decomposed.race.flat"; "decomposed.race.bags" ]
+  in
+  let races0 = race_runs () in
+  for step = 1 to 10 do
+    let ctxt = Printf.sprintf "step %d" step in
+    let name = if Prng.bool rng then "E" else "F" in
+    let tuples = rows (1 + Prng.int rng 3) in
+    ignore
+      (both (ctxt ^ " write")
+         (if step mod 3 = 0 then Protocol.Delete { name; tuples }
+          else Protocol.Insert { name; tuples }));
+    match both (ctxt ^ " query") query with
+    | [ maintained; recomputed ] ->
+        check Alcotest.bool (ctxt ^ ": served from the maintained cache")
+          true (cached_of maintained);
+        check Alcotest.string (ctxt ^ ": rows equal a full recompute")
+          (rows_bytes recomputed) (rows_bytes maintained)
+    | _ -> assert false
+  done;
+  if race_runs () = races0 then
+    Alcotest.fail "maintenance terms never ran the raced decomposition"
+
 (* --- WAL fault injection --- *)
 
 let write_file path s =
@@ -772,6 +831,8 @@ let suite =
       `Quick test_catalog_differential;
     Alcotest.test_case "server IVM differential across drivers" `Quick
       test_server_ivm_differential;
+    Alcotest.test_case "cached 5-cycle maintained = recompute" `Quick
+      test_five_cycle_maintained;
     Alcotest.test_case "WAL fault injection (truncate, tear, corrupt)"
       `Quick test_wal_fault_injection;
     Alcotest.test_case "kill-and-restart recovery with warm caches" `Quick

@@ -236,6 +236,79 @@ let joins_parallel_vs_sequential () =
           pooled C.Generic = (n, gc.Gj.intersections, gc.Gj.emitted)
           && pooled C.Leapfrog = (nl, lc.Lf.seeks, lc.Lf.emitted)))
 
+(* --- the decomposition route's evidence race --- *)
+
+(* Cyclic shapes with fhw < rho*: the 5-cycle and 6-cycle (fhw 2 vs
+   2.5 and 3) and the triangle with a pendant edge (fhw 1.5 vs 2). *)
+let race_shapes =
+  [|
+    "R(a,b), S(b,c), T(c,d), U(d,e), V(e,a)";
+    "R(a,b), S(b,c), T(c,d), U(d,e), V(e,f), W(f,a)";
+    "R(a,b), S(b,c), T(a,c), U(c,d)";
+  |]
+
+(* One shape over two databases: random edges, and the AGM worst case
+   (Theorem 3.2), which is where the decomposition earns its keep. *)
+let gen_race : (Q.t * Db.t * Db.t) gen =
+ fun rng ~size ->
+  let q = Q.parse race_shapes.(Prng.int rng (Array.length race_shapes)) in
+  let verts = size + 2 in
+  let random =
+    Db.of_list
+      (List.map
+         (fun (a : Q.atom) ->
+           ( a.Q.rel,
+             Rel.make [| "u"; "v" |]
+               (List.init (3 * size) (fun _ ->
+                    [| Prng.int rng verts; Prng.int rng verts |])) ))
+         q)
+  in
+  (q, random, Lb_relalg.Agm.worst_case_database q ~n:(4 * size))
+
+let show_race (q, _, _) = Q.to_string q
+
+(* The raced route equals the Generic Join oracle on both databases,
+   a fallback costs at most B ticks on top of the bag route's, and the
+   case set reaches both verdicts. *)
+let race_vs_oracle () =
+  let module Dj = Lb_relalg.Decomposed_join in
+  let verdicts = Hashtbl.create 2 in
+  let ticks_of f =
+    let budget = Lb_util.Budget.create () in
+    let r = f (Lb_util.Exec.make ~budget ()) in
+    (r, Lb_util.Budget.used budget)
+  in
+  check ~name:"race_vs_oracle" ~base:0x71 ~min_size:4 ~max_size:8 gen_race
+    show_race (fun (q, random, worst) ->
+      let fhw, td = Lb_hypergraph.Fhw.decomposition ~max_n:8 (Q.hypergraph q) in
+      let rho = Option.get (Lb_relalg.Agm.rho_star q) in
+      fhw < rho -. 1e-6
+      && List.for_all
+           (fun db ->
+             let (rel, verdict), ticks =
+               ticks_of (fun ctx -> Dj.race ~ctx ~decomposition:td db q)
+             in
+             let within_bound =
+               match verdict with
+               | Dj.Flat ->
+                   Hashtbl.replace verdicts "flat" ();
+                   ticks <= Dj.race_budget td db q
+               | Dj.Bags _ ->
+                   Hashtbl.replace verdicts "bags" ();
+                   let _, bag_ticks =
+                     ticks_of (fun ctx ->
+                         Dj.answer ~ctx ~compile:true ~decomposition:td db q)
+                   in
+                   ticks <= Dj.race_budget td db q + bag_ticks
+             in
+             within_bound && Rel.equal_modulo_order rel (Gj.answer db q))
+           [ random; worst ]);
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) ("some case answered " ^ v) true
+        (Hashtbl.mem verdicts v))
+    [ "flat"; "bags" ]
+
 (* --- reduction round-trips --- *)
 
 let red_sat_to_3sat () =
@@ -594,6 +667,7 @@ let suite =
     ("prop: solver count vs brute force", `Quick, solver_count_vs_bruteforce);
     ("prop: GJ/LFTJ vs hash join", `Quick, joins_vs_oracle);
     ("prop: pooled joins vs sequential", `Quick, joins_parallel_vs_sequential);
+    ("prop: raced decomposition vs GJ", `Quick, race_vs_oracle);
     ("prop: SAT->3SAT round trip", `Quick, red_sat_to_3sat);
     ("prop: SAT->CSP round trip", `Quick, red_sat_to_csp);
     ("prop: 3SAT->coloring round trip", `Quick, red_sat_to_coloring);

@@ -103,8 +103,8 @@ let random_db rng (q : Q.t) =
          (a.Q.rel, R.make attrs tuples))
        q)
 
-let server_with_db db =
-  let srv = Server.create () in
+let server_with_db ?(config = Server.default_config) db =
+  let srv = Server.create ~config () in
   List.iter
     (fun name ->
       let rel = Db.find db name in
@@ -828,6 +828,199 @@ let test_response_shaping () =
   check Alcotest.bool "marked truncated" true
     (match field "truncated" r with Json.Bool b -> b | _ -> false)
 
+
+(* --- plan retirement by relation --- *)
+
+(* A write retires exactly the cached plans whose query reads the
+   written relation: the plan over {A,B} is re-planned after a write to
+   B, the plan over {C} is still a hit. *)
+let test_plan_retired_by_relation () =
+  let srv = Server.create () in
+  List.iter
+    (fun name ->
+      ignore
+        (handle_ok srv ("load " ^ name)
+           (load_req name [ "u"; "v" ] [ [ 1; 2 ]; [ 2; 3 ] ])))
+    [ "A"; "B"; "C" ];
+  let ab = "A(x,y), B(y,z)" and c = "C(x,y)" in
+  ignore (handle_ok srv "plan A,B" (query_req ab));
+  ignore (handle_ok srv "plan C" (query_req c));
+  let counter name =
+    Option.value ~default:0 (Metrics.find_counter (Server.metrics srv) name)
+  in
+  let retired0 = counter "serve.ivm.plan_invalidations" in
+  ignore
+    (handle_ok srv "insert B"
+       (Protocol.Insert { name = "B"; tuples = [ [ 3; 4 ] ] }));
+  check Alcotest.int "one plan retired" (retired0 + 1)
+    (counter "serve.ivm.plan_invalidations");
+  let hits0 = counter "serve.cache.plan.hits"
+  and misses0 = counter "serve.cache.plan.misses" in
+  ignore (handle_ok srv "query C" (query_req c));
+  check Alcotest.int "plan over {C} survives" (hits0 + 1)
+    (counter "serve.cache.plan.hits");
+  ignore (handle_ok srv "query A,B" (query_req ab));
+  check Alcotest.int "plan over {A,B} is planned again" (misses0 + 1)
+    (counter "serve.cache.plan.misses")
+
+(* --- the decomposition route's evidence race --- *)
+
+let five_cycle_text = "R(a,b), S(b,c), T(c,d), U(d,e), V(e,a)"
+
+let pendant_text = "R(a,b), S(b,c), T(a,c), U(c,d)"
+
+(* Room for every row of the worst-case answers, so replies compare
+   in full. *)
+let race_config = { Server.default_config with max_rows = 1_000_000 }
+
+let counters_of json =
+  match field "counters" json with
+  | Json.Obj fields -> List.map (fun (k, v) -> (k, int_of v)) fields
+  | _ -> Alcotest.fail "counters is not an object"
+
+let race_verdict ctxt json =
+  let cs = counters_of json in
+  match
+    (List.assoc_opt "decomposed.race.flat" cs,
+     List.assoc_opt "decomposed.race.bags" cs)
+  with
+  | Some 1, None -> "flat"
+  | None, Some 1 -> "bags"
+  | _ ->
+      Alcotest.failf "%s: no single race verdict in %s" ctxt
+        (Json.to_string json)
+
+(* Random binary relations for every atom of [q]. *)
+let random_edges_db rng (q : Q.t) ~verts ~edges =
+  Db.of_list
+    (List.sort_uniq compare (List.map (fun (a : Q.atom) -> a.Q.rel) q)
+    |> List.map (fun name ->
+           ( name,
+             R.make [| "x"; "y" |]
+               (List.init edges (fun _ ->
+                    [| Prng.int rng verts; Prng.int rng verts |])) )))
+
+(* Serve [text] over [db] with no forced engine, check the reply by
+   value against the sequential Generic Join oracle, and return it. *)
+let served_race ?(config = race_config) ?(opts = Protocol.default_opts) ctxt
+    db text =
+  let srv = server_with_db ~config db in
+  let reply = Server.handle srv (Protocol.Query { text; opts }) in
+  if status reply = "ok" then begin
+    let q = Q.parse text in
+    check Alcotest.string (ctxt ^ ": routed decomposed") "decomposed"
+      (engine_of_response reply);
+    check
+      Alcotest.(list (array int))
+      (ctxt ^ ": rows equal the Generic Join oracle's")
+      (canonical_rows q (Lb_relalg.Generic_join.answer db q))
+      (rows_of_response reply)
+  end;
+  reply
+
+(* B as the race computes it, over the planner's decomposition. *)
+let race_budget db text =
+  let q = Q.parse text in
+  match (Planner.choose db q).Planner.decomposition with
+  | Some td -> Lb_relalg.Decomposed_join.race_budget td db q
+  | None -> Alcotest.fail "decomposed plan without a decomposition"
+
+let worst_case text n = Lb_relalg.Agm.worst_case_database (Q.parse text) ~n
+
+let test_race_random_flat () =
+  for seed = 1 to 4 do
+    let rng = Prng.create (313 * seed) in
+    let db =
+      random_edges_db rng (Q.parse five_cycle_text) ~verts:40 ~edges:120
+    in
+    let ctxt = Printf.sprintf "random 5-cycle seed %d" seed in
+    let reply = served_race ctxt db five_cycle_text in
+    expect_ok ctxt reply;
+    check Alcotest.string (ctxt ^ ": verdict") "flat" (race_verdict ctxt reply);
+    let cs = counters_of reply in
+    check Alcotest.(option int) (ctxt ^ ": budget counter")
+      (Some (race_budget db five_cycle_text))
+      (List.assoc_opt "decomposed.race.budget" cs);
+    check Alcotest.(option int) (ctxt ^ ": no bags built") None
+      (List.assoc_opt "decomposed_join.bags" cs);
+    check Alcotest.bool (ctxt ^ ": flat leapfrog counters") true
+      (List.mem_assoc "leapfrog.seeks" cs)
+  done
+
+let test_race_worst_case_bags () =
+  List.iter
+    (fun (text, n, bags) ->
+      let ctxt = Printf.sprintf "worst case %s n=%d" text n in
+      let reply = served_race ctxt (worst_case text n) text in
+      expect_ok ctxt reply;
+      check Alcotest.string (ctxt ^ ": verdict") "bags"
+        (race_verdict ctxt reply);
+      check Alcotest.(option int) (ctxt ^ ": bags built") (Some bags)
+        (List.assoc_opt "decomposed_join.bags" (counters_of reply)))
+    [ (five_cycle_text, 64, 5); (pendant_text, 64, 4) ]
+
+(* A request's own tick limit below B ends the race in a timeout - it
+   is not mistaken for the race's budget running out. *)
+let test_race_request_limit_times_out () =
+  let db = worst_case five_cycle_text 64 in
+  let b = race_budget db five_cycle_text in
+  let opts = { Protocol.default_opts with max_ticks = Some (b - 1) } in
+  let reply = served_race ~opts "request limit" db five_cycle_text in
+  check Alcotest.string "timeout status" "timeout" (status reply);
+  check Alcotest.int "ticks are the request's" (b - 1)
+    (int_of (field "ticks" reply));
+  match field "partial" reply with
+  | Json.Obj fields ->
+      check Alcotest.(option int) "partial counters carry B" (Some b)
+        (Option.map int_of (List.assoc_opt "decomposed.race.budget" fields));
+      check Alcotest.bool "no fallback to bags" false
+        (List.mem_assoc "decomposed.race.bags" fields)
+  | _ -> Alcotest.fail "partial is not an object"
+
+let test_race_forced_builds_bags () =
+  let rng = Prng.create 17 in
+  let db = random_edges_db rng (Q.parse five_cycle_text) ~verts:40 ~edges:120 in
+  let srv = server_with_db ~config:race_config db in
+  let reply =
+    handle_ok srv "forced"
+      (query_req ~engine:Planner.Decomposed five_cycle_text)
+  in
+  let q = Q.parse five_cycle_text in
+  check
+    Alcotest.(list (array int))
+    "forced rows equal the oracle's"
+    (canonical_rows q (Lb_relalg.Generic_join.answer db q))
+    (rows_of_response reply);
+  let cs = counters_of reply in
+  check Alcotest.(option int) "forced plan builds every bag" (Some 5)
+    (List.assoc_opt "decomposed_join.bags" cs);
+  check Alcotest.bool "and runs no race" false
+    (List.mem_assoc "decomposed.race.budget" cs)
+
+(* The verdict and every counter are independent of the pool. *)
+let test_race_pool_independent () =
+  Lb_util.Pool.with_pool 2 (fun pool ->
+      let pooled = { race_config with Server.pool = Some pool } in
+      let rng = Prng.create 29 in
+      List.iter
+        (fun (ctxt, db, text) ->
+          let seq = served_race (ctxt ^ " sequential") db text in
+          let par = served_race ~config:pooled (ctxt ^ " pooled") db text in
+          check Alcotest.string (ctxt ^ ": same verdict")
+            (race_verdict ctxt seq) (race_verdict ctxt par);
+          check Alcotest.string (ctxt ^ ": same counters")
+            (Json.to_string (field "counters" seq))
+            (Json.to_string (field "counters" par)))
+        [
+          ( "random 5-cycle",
+            random_edges_db rng (Q.parse five_cycle_text) ~verts:40 ~edges:120,
+            five_cycle_text );
+          ( "worst-case 5-cycle",
+            worst_case five_cycle_text 64,
+            five_cycle_text );
+          ("worst-case pendant", worst_case pendant_text 64, pendant_text);
+        ])
+
 let suite =
   [
     Alcotest.test_case "planner differential vs hash-join oracle" `Quick
@@ -863,4 +1056,16 @@ let suite =
       `Quick test_compile_tier_served;
     Alcotest.test_case "dist fallback only on transport failures" `Quick
       test_dist_fallback_by_cause;
+    Alcotest.test_case "a write retires plans by relation" `Quick
+      test_plan_retired_by_relation;
+    Alcotest.test_case "race: random 5-cycle answers flat" `Quick
+      test_race_random_flat;
+    Alcotest.test_case "race: worst-case data falls back to bags" `Quick
+      test_race_worst_case_bags;
+    Alcotest.test_case "race: a request limit below B times out" `Quick
+      test_race_request_limit_times_out;
+    Alcotest.test_case "race: forced decomposed still builds bags" `Quick
+      test_race_forced_builds_bags;
+    Alcotest.test_case "race: pooled verdict and counters = sequential"
+      `Quick test_race_pool_independent;
   ]
