@@ -612,6 +612,45 @@ let sat_cmd =
     (Cmd.info "sat" ~doc)
     Term.(const run $ file_arg $ timeout_arg $ metrics_arg $ json_flag)
 
+(* --- [--load] replay, shared by query (local and remote) and explain --- *)
+
+(* Replay newline-delimited protocol requests from each file in turn
+   ('-' reads stdin) through [send], stopping at the first failing
+   line: [send line] is [Ok ()] or [Error detail], reported on stderr
+   as "error: FILE:LINE: detail" with exit code 2.  Blank lines are
+   skipped but counted.  0 when every line succeeded. *)
+let replay_loads send files =
+  let replay_file file =
+    let ic = if file = "-" then stdin else open_in file in
+    Fun.protect ~finally:(fun () -> if file <> "-" then close_in ic)
+    @@ fun () ->
+    let rec go lineno =
+      match input_line ic with
+      | exception End_of_file -> 0
+      | line when String.trim line = "" -> go (lineno + 1)
+      | line -> (
+          match send line with
+          | Ok () -> go (lineno + 1)
+          | Error detail ->
+              Printf.eprintf "error: %s:%d: %s\n%!" file lineno detail;
+              2)
+    in
+    go 1
+  in
+  List.fold_left (fun rc f -> if rc <> 0 then rc else replay_file f) 0 files
+
+(* [replay_loads]'s send into an in-process server: the reply's
+   message, or its status when it has none, on anything but "ok". *)
+let send_local server line =
+  let reply = Json.parse (Lb_service.Server.handle_line server line) in
+  match Json.string_field "status" reply with
+  | Ok "ok" -> Ok ()
+  | Ok status -> (
+      match Json.string_field "message" reply with
+      | Ok m -> Error m
+      | Error _ -> Error status)
+  | Error _ as e -> e
+
 (* --- query: one-shot evaluation through the in-process service --- *)
 
 let query_cmd =
@@ -777,43 +816,14 @@ let query_cmd =
                   Fun.protect
                     ~finally:(fun () -> Lb_service.Client.close client)
                   @@ fun () ->
-                  let replay_line file lineno line =
-                    if String.trim line = "" then 0
-                    else
-                      match Lb_service.Client.raw_request client line with
-                      | Error msg ->
-                          fail "%s:%d: %s" file lineno msg;
-                          2
-                      | Ok reply ->
-                          if Lb_service.Client.reply_ok reply then 0
-                          else begin
-                            fail "%s:%d: %s" file lineno
-                              (Lb_service.Client.error_message reply);
-                            2
-                          end
+                  let send line =
+                    match Lb_service.Client.raw_request client line with
+                    | Error _ as e -> e
+                    | Ok reply when Lb_service.Client.reply_ok reply -> Ok ()
+                    | Ok reply ->
+                        Error (Lb_service.Client.error_message reply)
                   in
-                  let replay_file file =
-                    let ic = if file = "-" then stdin else open_in file in
-                    Fun.protect
-                      ~finally:(fun () -> if file <> "-" then close_in ic)
-                    @@ fun () ->
-                    let rc = ref 0 and lineno = ref 0 in
-                    (try
-                       while !rc = 0 do
-                         let line = input_line ic in
-                         Stdlib.incr lineno;
-                         rc := replay_line file !lineno line
-                       done
-                     with End_of_file -> ());
-                    !rc
-                  in
-                  let rec replay = function
-                    | [] -> 0
-                    | f :: rest ->
-                        let rc = replay_file f in
-                        if rc <> 0 then rc else replay rest
-                  in
-                  let rc = replay loads in
+                  let rc = replay_loads send loads in
                   if rc <> 0 then rc
                   else begin
                     let opts =
@@ -850,46 +860,7 @@ let query_cmd =
           let server = Lb_service.Server.create ~config () in
           (* Replay the load files through the same request path the
              server uses, stopping at the first failing line. *)
-          let replay_line file lineno line =
-            if String.trim line = "" then 0
-            else begin
-              let reply = Json.parse (Lb_service.Server.handle_line server line) in
-              match Json.string_field "status" reply with
-              | Ok "ok" -> 0
-              | Ok status ->
-                  let detail =
-                    match Json.string_field "message" reply with
-                    | Ok m -> m
-                    | Error _ -> status
-                  in
-                  fail "%s:%d: %s" file lineno detail;
-                  2
-              | Error msg ->
-                  fail "%s:%d: %s" file lineno msg;
-                  2
-            end
-          in
-          let replay_file file =
-            let ic = if file = "-" then stdin else open_in file in
-            Fun.protect ~finally:(fun () -> if file <> "-" then close_in ic)
-            @@ fun () ->
-            let rc = ref 0 and lineno = ref 0 in
-            (try
-               while !rc = 0 do
-                 let line = input_line ic in
-                 Stdlib.incr lineno;
-                 rc := replay_line file !lineno line
-               done
-             with End_of_file -> ());
-            !rc
-          in
-          let rec replay = function
-            | [] -> 0
-            | f :: rest ->
-                let rc = replay_file f in
-                if rc <> 0 then rc else replay rest
-          in
-          let rc = replay loads in
+          let rc = replay_loads (send_local server) loads in
           if rc <> 0 then rc
           else begin
             let opts =
@@ -974,42 +945,7 @@ let explain_cmd =
   let run qtext loads json =
     let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("error: " ^ s)) fmt in
     let server = Lb_service.Server.create () in
-    let replay_file file =
-      let ic = if file = "-" then stdin else open_in file in
-      Fun.protect ~finally:(fun () -> if file <> "-" then close_in ic)
-      @@ fun () ->
-      let rc = ref 0 and lineno = ref 0 in
-      (try
-         while !rc = 0 do
-           let line = input_line ic in
-           Stdlib.incr lineno;
-           if String.trim line <> "" then begin
-             let reply = Json.parse (Lb_service.Server.handle_line server line) in
-             match Json.string_field "status" reply with
-             | Ok "ok" -> ()
-             | Ok status ->
-                 let detail =
-                   match Json.string_field "message" reply with
-                   | Ok m -> m
-                   | Error _ -> status
-                 in
-                 fail "%s:%d: %s" file !lineno detail;
-                 rc := 2
-             | Error msg ->
-                 fail "%s:%d: %s" file !lineno msg;
-                 rc := 2
-           end
-         done
-       with End_of_file -> ());
-      !rc
-    in
-    let rec replay = function
-      | [] -> 0
-      | f :: rest ->
-          let rc = replay_file f in
-          if rc <> 0 then rc else replay rest
-    in
-    let rc = replay loads in
+    let rc = replay_loads (send_local server) loads in
     if rc <> 0 then rc
     else begin
       let reply =
@@ -1117,9 +1053,9 @@ let serve_cmd =
   let shards_arg =
     let doc =
       "Shard count for the sharded execution tier (1 = unsharded); WCOJ \
-       queries hash-partition on their first join variable against the \
-       catalog's warm partitions, with answers and counters \
-       bit-identical to unsharded runs."
+       queries hash-partition their bound atoms on the first join \
+       variable, with answers and counters bit-identical to unsharded \
+       runs."
     in
     Arg.(value & opt int 1 & info [ "shards" ] ~docv:"K" ~doc)
   in

@@ -1113,8 +1113,8 @@ let run_units machs (tasks : task array array) units pool c ~make_acc ~consume
           done);
   accs
 
-let sharded_drive ?counters ?(ctx = Exec.default) ?partition ?view
-    ?(subset = all_shards) ~shards ir db q ~make_acc ~consume =
+let sharded_drive ?counters ?(ctx = Exec.default) ?(subset = all_shards)
+    ~shards ir db q ~make_acc ~consume =
   if shards < 1 then invalid_arg "Compile.run_sharded: shards < 1";
   let c = match counters with Some c -> c | None -> fresh_counters () in
   with_metrics ir.engine ctx.Exec.metrics c @@ fun () ->
@@ -1127,16 +1127,7 @@ let sharded_drive ?counters ?(ctx = Exec.default) ?partition ?view
     [| acc |]
   end
   else begin
-    let view =
-      match view with
-      | Some (v : Shard.view) ->
-          if v.Shard.k <> shards then
-            invalid_arg "Compile.run_sharded: view shard count mismatch";
-          if v.Shard.attr <> ir.order.(0) then
-            invalid_arg "Compile.run_sharded: view attribute mismatch";
-          v
-      | None -> Shard.view ?hook:partition ~attr:ir.order.(0) ~k:shards db q
-    in
+    let view = Shard.view ~attr:ir.order.(0) ~k:shards db q in
     let machs = make_shard_machs ctx ~lead:subset.lead ir view in
     if sharded_empty machs then [| make_acc () |]
     else begin
@@ -1146,17 +1137,17 @@ let sharded_drive ?counters ?(ctx = Exec.default) ?partition ?view
     end
   end
 
-let count_sharded ?counters ?ctx ?partition ?view ?subset ~shards ir db q =
+let count_sharded ?counters ?ctx ?subset ~shards ir db q =
   let accs =
-    sharded_drive ?counters ?ctx ?partition ?view ?subset ~shards ir db q
+    sharded_drive ?counters ?ctx ?subset ~shards ir db q
       ~make_acc:(fun () -> ref 0)
       ~consume:(fun r _ -> incr r)
   in
   Array.fold_left (fun acc r -> acc + !r) 0 accs
 
-let run_sharded ?counters ?ctx ?partition ?view ?subset ~shards ir db q =
+let run_sharded ?counters ?ctx ?subset ~shards ir db q =
   let accs =
-    sharded_drive ?counters ?ctx ?partition ?view ?subset ~shards ir db q
+    sharded_drive ?counters ?ctx ?subset ~shards ir db q
       ~make_acc:(fun () -> ref [])
       ~consume:(fun r a -> r := Array.copy a :: !r)
   in

@@ -88,11 +88,10 @@ val answer : ?ctx:Lb_util.Exec.t -> ir -> Database.t -> Query.t -> Relation.t
     ({!Shard.view}) and runs one resolved machine per shard, fanned out
     on [ctx]'s pool with a 2x-mean skew split.  The level-0 loop is
     emulated over the merged per-shard key streams, so answers and
-    counter totals equal the unsharded run's.  [?partition] (see
-    {!Shard.view}'s [?hook]) lets a catalog supply warm raw-relation
-    partitions; [?view] supplies a prebuilt view outright (its [k] must
-    equal [shards] and its attribute the first variable of the
-    order). *)
+    counter totals equal the unsharded run's.  The view is built per
+    execution from the database snapshot the driver is given: each
+    bound atom splits in one pass with no per-shard sort, so no
+    partition outlives the query. *)
 
 (** Which slice of the sharded run this process executes.  [owned s]
     selects the shards whose deep-level work (and counters, emitted
@@ -113,8 +112,6 @@ val all_shards : subset
 val run_sharded :
   ?counters:counters ->
   ?ctx:Lb_util.Exec.t ->
-  ?partition:(Query.atom -> col:int -> Relation.t array option) ->
-  ?view:Shard.view ->
   ?subset:subset ->
   shards:int ->
   ir ->
@@ -126,8 +123,6 @@ val run_sharded :
 val count_sharded :
   ?counters:counters ->
   ?ctx:Lb_util.Exec.t ->
-  ?partition:(Query.atom -> col:int -> Relation.t array option) ->
-  ?view:Shard.view ->
   ?subset:subset ->
   shards:int ->
   ir ->

@@ -1,8 +1,8 @@
 (* Hash partitioning for the sharded execution tier.  See shard.mli.
 
    The hash is a fixed 63-bit multiply-xor mix: it must be identical in
-   every process that ever touches a shard index (engine drivers, the
-   catalog's warm partition cache, the property tests), and it must not
+   every process that ever touches a shard index (engine drivers,
+   distributed workers, the property tests), and it must not
    depend on anything runtime-varying, or sharded runs stop being
    replayable. *)
 
@@ -16,41 +16,25 @@ let shard_of ~k v =
     (h land max_int) mod k
   end
 
-let partition_col ~k ~col rel =
-  if k < 1 then invalid_arg "Shard.partition_col: k < 1";
-  if col < 0 || col >= Relation.width rel then
-    invalid_arg "Shard.partition_col: column out of range";
-  let attrs = Relation.attrs rel in
-  let buckets = Array.make k [] in
-  (* reversed per-bucket lists; Relation.make re-sorts anyway *)
-  Array.iter
-    (fun tup ->
-      let s = shard_of ~k tup.(col) in
-      buckets.(s) <- tup :: buckets.(s))
-    (Relation.tuples rel);
-  Array.map (fun rows -> Relation.make attrs rows) buckets
-
+(* One reverse scan: every bucket keeps its rows in [rel]'s order, so a
+   sorted duplicate-free relation splits into sorted duplicate-free
+   buckets without a re-sort. *)
 let partition ~k ~attr rel =
-  match Relation.attr_index rel attr with
-  | None -> invalid_arg ("Shard.partition: no attribute " ^ attr)
-  | Some col -> partition_col ~k ~col rel
-
-let co_partition ~k ~attr rels = List.map (partition ~k ~attr) rels
-
-(* Monomorphic lexicographic tuple compare (same order as Relation's
-   canonical tuple set). *)
-let compare_tuples (a : int array) (b : int array) =
-  let la = Array.length a and lb = Array.length b in
-  if la <> lb then if la < lb then -1 else 1
-  else begin
-    let i = ref 0 and r = ref 0 in
-    while !r = 0 && !i < la do
-      let x = a.(!i) and y = b.(!i) in
-      if x < y then r := -1 else if x > y then r := 1;
-      incr i
-    done;
-    !r
-  end
+  if k < 1 then invalid_arg "Shard.partition: k < 1";
+  let col =
+    match Relation.attr_index rel attr with
+    | Some col -> col
+    | None -> invalid_arg ("Shard.partition: no attribute " ^ attr)
+  in
+  let rows = Relation.tuples rel in
+  let buckets = Array.make k [] in
+  for i = Array.length rows - 1 downto 0 do
+    let s = shard_of ~k rows.(i).(col) in
+    buckets.(s) <- rows.(i) :: buckets.(s)
+  done;
+  Array.map
+    (fun b -> Relation.of_sorted_distinct (Relation.attrs rel) (Array.of_list b))
+    buckets
 
 (* k-way merge of the shards' sorted duplicate-free tuple arrays.  The
    shards of one partition are key-disjoint, so no dedup is needed here;
@@ -76,8 +60,8 @@ let merge_sorted shards =
           match !best with
           | -1 -> best := i
           | b ->
-              if compare_tuples arrs.(i).(p) arrs.(b).(pos.(b)) < 0 then
-                best := i)
+              if Relation.compare_tuples arrs.(i).(p) arrs.(b).(pos.(b)) < 0
+              then best := i)
       pos;
     match !best with
     | -1 -> ()
@@ -95,38 +79,19 @@ type part = Whole of Relation.t | Parts of Relation.t array
 
 type view = { attr : string; k : int; parts : part array }
 
-let view ?hook ~attr ~k db (q : Query.t) =
+let view ~attr ~k db (q : Query.t) =
   if k < 1 then invalid_arg "Shard.view: k < 1";
-  let atoms = Array.of_list q in
   let found = ref false in
   let parts =
     Array.map
       (fun (a : Query.atom) ->
-        (* the column of the first occurrence of [attr] in the stored
-           relation; binding keeps first-occurrence columns in place *)
-        let col = ref (-1) in
-        Array.iteri (fun i x -> if x = attr && !col < 0 then col := i) a.attrs;
-        if !col < 0 then Whole (Query.bind_atom db a)
-        else begin
+        let bound = Query.bind_atom db a in
+        if Relation.has_attr bound attr then begin
           found := true;
-          let cached =
-            match hook with Some h -> h a ~col:!col | None -> None
-          in
-          match cached with
-          | Some raw_parts ->
-              if Array.length raw_parts <> k then
-                invalid_arg "Shard.view: hook returned wrong shard count";
-              (* bind each raw shard: partitioning the stored relation
-                 then binding equals binding then partitioning, because
-                 the value at the partition column survives binding *)
-              Parts
-                (Array.map
-                   (fun p ->
-                     Query.bind_atom (Database.of_list [ (a.rel, p) ]) a)
-                   raw_parts)
-          | None -> Parts (partition ~k ~attr (Query.bind_atom db a))
-        end)
-      atoms
+          Parts (partition ~k ~attr bound)
+        end
+        else Whole bound)
+      (Array.of_list q)
   in
   if not !found then
     invalid_arg ("Shard.view: attribute " ^ attr ^ " appears in no atom");

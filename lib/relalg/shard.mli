@@ -13,23 +13,18 @@
 
 (** [shard_of ~k v] is the shard index in [0, k)] of key value [v];
     deterministic, and the single definition every layer (engines,
-    catalog cache, tests) must agree on.  [k <= 1] always yields 0. *)
+    distributed workers, tests) must agree on.  [k <= 1] always
+    yields 0. *)
 val shard_of : k:int -> int -> int
 
 (** [partition ~k ~attr rel] splits [rel] into [k] shards on attribute
-    [attr] (raises [Invalid_argument] if missing).  Every tuple appears
-    in exactly [shard_of ~k] of its [attr] value; schemas are shared. *)
+    [attr] (raises [Invalid_argument] if missing or [k < 1]).  Every
+    tuple appears in exactly shard [shard_of ~k] of its [attr] value;
+    schemas are shared.  One linear pass: each shard keeps its tuples
+    in [rel]'s order, so the shards of a sorted relation (every one
+    {!Relation.make} or {!Query.bind_atom} builds) are sorted with no
+    re-sort. *)
 val partition : k:int -> attr:string -> Relation.t -> Relation.t array
-
-(** [partition_col ~k ~col rel] is {!partition} by column index — the
-    form the catalog caches, since a stored relation's own column names
-    differ from the query variables bound to them. *)
-val partition_col : k:int -> col:int -> Relation.t -> Relation.t array
-
-(** [co_partition ~k ~attr rels] partitions every relation on the shared
-    join attribute with the same hash, aligning shard indices: tuples
-    that can join on [attr] are in same-index shards of each relation. *)
-val co_partition : k:int -> attr:string -> Relation.t list -> Relation.t array list
 
 (** Deterministic union of per-shard results: k-way merge of the
     shards' (sorted, duplicate-free) tuple arrays.  All shards must
@@ -50,22 +45,12 @@ type view = {
 }
 
 (** [view ~attr ~k db q] binds each atom of [q] (as the engines do) and
-    partitions the ones containing [attr].  [?hook] short-circuits the
-    per-atom partitioning with precomputed raw-relation shards — given
-    the atom and the stored-relation column index carrying [attr], it
-    may return cached partitions of the {e stored} relation, which are
-    then bound per shard (binding commutes with partitioning because it
-    never changes the value at the partition column).  This is how
-    {!Catalog}'s warm sharded storage plugs in.  Raises like
-    {!Query.bind_atom} on unknown relations or arity mismatches, and
-    [Invalid_argument] if [attr] appears in no atom or [k < 1]. *)
-val view :
-  ?hook:(Query.atom -> col:int -> Relation.t array option) ->
-  attr:string ->
-  k:int ->
-  Database.t ->
-  Query.t ->
-  view
+    {!partition}s the ones containing [attr].  Bound atoms are sorted
+    and duplicate-free, so the split is one pass with no per-shard
+    sort.  Raises like {!Query.bind_atom} on unknown relations or arity
+    mismatches, and [Invalid_argument] if [attr] appears in no atom or
+    [k < 1]. *)
+val view : attr:string -> k:int -> Database.t -> Query.t -> view
 
 (** Merged view of one partitioned atom's depth-0 key streams: the
     engines' level-0 loops (leader enumeration, probes, leapfrogging)

@@ -6,26 +6,20 @@
    apply an O(d log d) batch to the delta trie and re-materialize the
    Relation.t snapshot by one O(n + d) k-way merge (no re-sort, no
    dedup hash); loads build a fresh base.  Catalog relations therefore
-   always hold their tuples lexicographically sorted, which is what
-   lets the partition patcher below splice deltas in linearly.
+   always hold their tuples lexicographically sorted - the dump form
+   snapshots write and recovery adopts.
+
+   A sharded query keeps nothing here: it hash-splits its bound atoms
+   per execution ({!Lb_relalg.Shard.view}), so each relation is stored
+   twice (rows and delta trie) and writes maintain no partitions.
 
    Versions: a global version (+1 per successful mutation, keys batch
    grouping) and a per-relation version (bumped only when that relation
    changes, surviving drop/reload).  The per-relation versions are the
-   provenance the server's IVM layer stamps cached answers with.
-
-   Sharded storage: the catalog keeps hash partitions of its relations
-   warm across requests in [parts], keyed by (relation, column, shard
-   count) and stamped with the relation version that produced them.  A
-   small write no longer drops them: the effective delta rows are
-   hash-split and spliced into the affected shards (two-pointer merge
-   against the sorted shard rows), so warm partitions survive writes.
-   Load/drop of a relation evicts only that relation's entries. *)
+   provenance the server's IVM layer stamps cached answers with. *)
 
 module Db = Lb_relalg.Database
 module R = Lb_relalg.Relation
-module Q = Lb_relalg.Query
-module Shard = Lb_relalg.Shard
 module Delta_trie = Lb_relalg.Delta_trie
 
 type t = {
@@ -33,8 +27,6 @@ type t = {
   store : (string, Delta_trie.t) Hashtbl.t; (* master copies *)
   versions : (string, int) Hashtbl.t; (* per-relation; survives drop *)
   mutable version : int;
-  mutable shards : int; (* default shard count; 1 = unsharded *)
-  parts : (string * int * int, int * R.t array) Hashtbl.t;
   arena : Lb_util.Arena.t;
       (* sort scratch for trie builds; mutations run single-threaded
          under the server's write mutex, so one arena is safe *)
@@ -46,23 +38,12 @@ let create () =
     store = Hashtbl.create 16;
     versions = Hashtbl.create 16;
     version = 0;
-    shards = 1;
-    parts = Hashtbl.create 16;
     arena = Lb_util.Arena.create ();
   }
-
-let arena_stats t =
-  Lb_util.Arena.(capacity t.arena, grown t.arena)
 
 let version t = t.version
 
 let database t = t.db
-
-let shards t = t.shards
-
-let set_shards t k =
-  if k < 1 then invalid_arg "Catalog.set_shards: k < 1";
-  t.shards <- k
 
 let rel_version t name =
   Option.value ~default:0 (Hashtbl.find_opt t.versions name)
@@ -91,127 +72,17 @@ let bump t name db =
   t.version <- t.version + 1;
   Hashtbl.replace t.versions name (rel_version t name + 1)
 
-let drop_parts_of t name =
-  let stale =
-    Hashtbl.fold
-      (fun ((n, _, _) as key) _ acc -> if n = name then key :: acc else acc)
-      t.parts []
-  in
-  List.iter (Hashtbl.remove t.parts) stale
-
-(* Partition [rel]'s column [col] into [k] pieces, warm from the cache
-   when the stamp matches the relation's current version. *)
-let partition_of t ~name ~col ~k rel =
-  let key = (name, col, k) in
-  match Hashtbl.find_opt t.parts key with
-  | Some (v, parts) when v = rel_version t name -> parts
-  | _ ->
-      let parts = Shard.partition_col ~k ~col rel in
-      Hashtbl.replace t.parts key (rel_version t name, parts);
-      parts
-
-let partition_hook t ~k (a : Q.atom) ~col =
-  if k < 2 then None
-  else
-    match Db.find_opt t.db a.Q.rel with
-    | None -> None
-    | Some rel ->
-        if col < 0 || col >= R.width rel then None
-        else Some (partition_of t ~name:a.Q.rel ~col ~k rel)
-
-(* Splice a delta into one shard's sorted rows: two-pointer merge of
-   [added] (disjoint from the shard) minus [removed] (a subset of it).
-   Linear in the shard size, so a small write keeps every warm
-   partition warm instead of rebuilding the hash split from scratch. *)
-let splice_rows attrs (old_rows : int array array) added removed =
-  let cmp = R.compare_tuples in
-  let na = Array.length added and nr = Array.length removed in
-  let n = Array.length old_rows in
-  let out = Array.make (n + na - nr) [||] in
-  let oi = ref 0 and ai = ref 0 and ri = ref 0 and w = ref 0 in
-  while !oi < n || !ai < na do
-    let take_old =
-      !ai >= na || (!oi < n && cmp old_rows.(!oi) added.(!ai) <= 0)
-    in
-    if take_old then begin
-      let r = old_rows.(!oi) in
-      incr oi;
-      if !ri < nr && cmp removed.(!ri) r = 0 then incr ri
-      else begin
-        out.(!w) <- r;
-        incr w
-      end
-    end
-    else begin
-      out.(!w) <- added.(!ai);
-      incr ai;
-      incr w
-    end
-  done;
-  R.of_sorted_distinct attrs (Array.sub out 0 !w)
-
-(* Patch every cached partition of [name] in place of a rebuild: split
-   the effective delta rows with the same hash and splice each shard.
-   Entries whose stamp is not the pre-mutation version are evicted
-   (they were already stale). *)
-let patch_parts t name ~old_version ~added ~removed =
-  let keys =
-    Hashtbl.fold
-      (fun ((n, _, _) as key) _ acc -> if n = name then key :: acc else acc)
-      t.parts []
-  in
-  List.iter
-    (fun ((_, col, k) as key) ->
-      match Hashtbl.find_opt t.parts key with
-      | Some (v, parts) when v = old_version ->
-          let split rows =
-            let buckets = Array.make k [] in
-            (* reverse scan keeps each bucket sorted ascending *)
-            for i = Array.length rows - 1 downto 0 do
-              let s = Shard.shard_of ~k rows.(i).(col) in
-              buckets.(s) <- rows.(i) :: buckets.(s)
-            done;
-            Array.map Array.of_list buckets
-          in
-          let added_by = split added and removed_by = split removed in
-          let parts' =
-            Array.mapi
-              (fun i part ->
-                if
-                  Array.length added_by.(i) = 0
-                  && Array.length removed_by.(i) = 0
-                then part
-                else
-                  splice_rows (R.attrs part) (R.tuples part) added_by.(i)
-                    removed_by.(i))
-              parts
-          in
-          Hashtbl.replace t.parts key (rel_version t name, parts')
-      | Some _ -> Hashtbl.remove t.parts key
-      | None -> ())
-    keys
-
-let warm_leading t name rel =
-  (* Warm the partitions a sharded driver will ask for first: the
-     leading column is where a first-variable partition lands when the
-     relation's own attribute order leads the plan. *)
-  if t.shards > 1 && R.width rel > 0 then
-    ignore (partition_of t ~name ~col:0 ~k:t.shards rel)
-
-let load ?shards t ~name ~attrs tuples =
+let load t ~name ~attrs tuples =
   match R.make attrs tuples with
   | exception Invalid_argument msg -> Error msg
   | rel ->
-      (match shards with Some k -> set_shards t k | None -> ());
       Hashtbl.replace t.store name
         (Delta_trie.of_relation ~scratch:t.arena rel);
-      drop_parts_of t name;
       bump t name (Db.add (without t name) name rel);
-      warm_leading t name rel;
       Ok (R.cardinality rel)
 
 (* Shared write path: apply the batch to the delta trie, re-materialize
-   the snapshot by one merge, patch warm partitions.  Returns the
+   the snapshot by one merge.  Returns the
    effective rows (what actually changed state) for cache
    maintenance. *)
 let write t ~name ~inserts ~deletes =
@@ -234,11 +105,9 @@ let write t ~name ~inserts ~deletes =
                   (Array.length tup) name width
             | None -> Printf.sprintf "invalid tuples for %S" name)
       | { Delta_trie.dt = dt'; added; removed } ->
-          let old_version = rel_version t name in
           let rel = Delta_trie.to_relation dt' in
           Hashtbl.replace t.store name dt';
           bump t name (Db.add (without t name) name rel);
-          patch_parts t name ~old_version ~added ~removed;
           Ok (R.cardinality rel, added, removed))
 
 let insert t ~name tuples =
@@ -256,7 +125,6 @@ let drop t ~name =
   | None -> Error (Printf.sprintf "no relation %S" name)
   | Some _ ->
       Hashtbl.remove t.store name;
-      drop_parts_of t name;
       bump t name (without t name);
       Ok ()
 
@@ -299,11 +167,9 @@ let dump_shaped attrs (rows : int array array) =
    supplier put them, e.g. in an mmap'd image.  Any mismatch falls
    back to the ordinary build.  Returns how many relations took the
    fast path. *)
-let restore ?shards ?tries t ~version rels =
-  (match shards with Some k -> set_shards t k | None -> ());
+let restore ?tries t ~version rels =
   Hashtbl.reset t.store;
   Hashtbl.reset t.versions;
-  Hashtbl.reset t.parts;
   t.db <- Db.empty;
   t.version <- version;
   let mapped = ref 0 in
@@ -332,7 +198,6 @@ let restore ?shards ?tries t ~version rels =
       in
       Hashtbl.replace t.store name dt;
       Hashtbl.replace t.versions name rv;
-      t.db <- Db.add t.db name rel;
-      warm_leading t name rel)
+      t.db <- Db.add t.db name rel)
     rels;
   !mapped

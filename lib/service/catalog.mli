@@ -6,14 +6,11 @@
     versions are the provenance the IVM layer stamps cached answers
     with, so cached results survive writes to unrelated relations.
 
-    Sharded storage mode: the catalog keeps hash partitions
-    ({!Lb_relalg.Shard.partition_col}) of its relations warm across
-    requests, keyed by (relation, column, shard count) and stamped with
-    the relation version that produced them.  Writes patch the warm
-    partitions in place (the effective delta rows are hash-split and
-    spliced into the affected shards); load/drop evict only that
-    relation's entries.  A stamp mismatch can never serve stale
-    shards. *)
+    The catalog knows nothing of sharding: each relation is stored
+    twice, as sorted rows and as its delta trie.  A sharded query
+    splits its bound atoms per execution from the immutable
+    {!database} snapshot ({!Lb_relalg.Shard.view}), so writes maintain
+    no partitions. *)
 
 type t
 
@@ -35,43 +32,13 @@ val version_vector : t -> string list -> (string * int) list
     relation's delta trie; [None] for unknown names. *)
 val delta_stats : t -> string -> (int * int * int) option
 
-(** [(capacity, growth count)] of the catalog's off-heap sort-scratch
-    arena - the bump allocator trie builds borrow their transient
-    columns from.  Growth settles once the arena has seen the largest
-    relation; a steadily climbing count means builds are thrashing. *)
-val arena_stats : t -> int * int
-
 (** The current immutable database snapshot (safe to share across
     domains while mutations are quiesced). *)
 val database : t -> Lb_relalg.Database.t
 
-(** Default shard count for sharded execution; 1 (= unsharded) until
-    [set_shards] or [load ~shards]. *)
-val shards : t -> int
-
-(** Raises [Invalid_argument] when [k < 1]. *)
-val set_shards : t -> int -> unit
-
-(** Warm-partition supplier in the shape the engines'
-    [?partition] hook expects ({!Lb_relalg.Shard.view}): the stored
-    relation behind the atom, hash-partitioned on [col] into [k]
-    pieces, cached until the next mutation of that relation.  [None]
-    for unknown relations, out-of-range columns, or [k < 2] (nothing to
-    share). *)
-val partition_hook :
-  t ->
-  k:int ->
-  Lb_relalg.Query.atom ->
-  col:int ->
-  Lb_relalg.Relation.t array option
-
 (** Create or replace a relation.  [Ok cardinality] after dedup;
-    [Error] on invalid schemas or ragged tuples (version unchanged).
-    [~shards] switches the catalog's default shard count (as
-    [set_shards]) and eagerly warms the new relation's leading-column
-    partitions. *)
+    [Error] on invalid schemas or ragged tuples (version unchanged). *)
 val load :
-  ?shards:int ->
   t ->
   name:string ->
   attrs:string array ->
@@ -103,8 +70,7 @@ val dump : t -> (string * string array * int array array * int) list
 
 (** Replace the entire catalog state from a snapshot.  Versions are
     restored, not bumped, so provenance stamps persisted alongside the
-    snapshot keep matching.  Warms leading-column partitions when the
-    restored shard count is > 1.
+    snapshot keep matching.
 
     [tries] is the mapped-image fast path ({!Snapshot.read_image}): a
     supplied trie whose attrs and row count match the snapshot relation
@@ -115,7 +81,6 @@ val dump : t -> (string * string array * int array array * int) list
     recovery but never corrupt it.  Returns the number of relations
     that took the fast path. *)
 val restore :
-  ?shards:int ->
   ?tries:(string -> Lb_relalg.Trie.t option) ->
   t ->
   version:int ->

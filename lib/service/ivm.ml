@@ -36,17 +36,15 @@ module Db = Lb_relalg.Database
 
 (* Canonical answer: the query's attribute order, rows sorted
    lexicographically - every engine and every maintenance path yields
-   byte-identical rows. *)
+   byte-identical rows.  [R.project] already returns distinct rows in
+   [R.compare_tuples] order, so no copy or sort follows. *)
 type answer = { attributes : string array; rows : int array array }
 
 type runner = Db.t -> Q.t -> R.t
 
 let canonical (q : Q.t) (rel : R.t) =
   let attributes = Q.attributes q in
-  let projected = R.project rel attributes in
-  let rows = Array.copy (R.tuples projected) in
-  Array.sort compare rows;
-  { attributes; rows }
+  { attributes; rows = R.tuples (R.project rel attributes) }
 
 (* Reserved relation names for the rewritten maintenance queries; the
    NUL prefix keeps them out of any client-loadable namespace. *)

@@ -1,7 +1,6 @@
 (* The structure-aware planner.  Decision procedure:
 
      acyclic              -> Yannakakis   (O(input + output), exponent 1)
-     <= 2 atoms           -> Binary_hash  (a single hash join is optimal)
      cyclic, fhw < rho*   -> Decomposed   (raced: flat WCOJ under the tick
                                            budget B = sum over bags of
                                            N^{rho*(bag)}; only if B runs
@@ -13,8 +12,8 @@
 
    Both flat WCOJ choices run at the AGM exponent rho*; the greedy
    binary plan's max prefix exponent is >= rho* by construction (the
-   last prefix is the whole query), so on cyclic queries with >= 3
-   atoms a WCOJ engine is never predicted to lose.  The decomposition
+   last prefix is the whole query), so on cyclic queries (every one
+   has >= 3 atoms) a WCOJ engine is never predicted to lose.  The decomposition
    route refines this further: a fractional hypertree decomposition
    (computed via the lb_lp simplex per bag) caps every bag at
    N^{rho*(bag)} <= N^{fhw}, so whenever fhw < rho* the decomposition
@@ -271,7 +270,6 @@ let build ?(compile = true) ?info ~forced engine db (q : Q.t) =
 
 let choose_engine ~info ~rho (q : Q.t) =
   if Lb_relalg.Yannakakis.is_acyclic q then Yannakakis
-  else if List.length q <= 2 then Binary_hash
   else if decomposition_wins ~info ~rho then Decomposed
   else if max_arity q <= 2 then Leapfrog
   else Generic_join

@@ -17,7 +17,6 @@
 module Q = Lb_relalg.Query
 module R = Lb_relalg.Relation
 module Db = Lb_relalg.Database
-module Shard = Lb_relalg.Shard
 module Budget = Lb_util.Budget
 module Metrics = Lb_util.Metrics
 module Exec = Lb_util.Exec
@@ -144,10 +143,11 @@ let rels_of (q : Q.t) =
 (* Every served WCOJ execution - planned queries, IVM maintenance and a
    worker's distributed slices - runs the compiled tier through this
    one call.  The IR comes from the plan when it carries one (the plan
-   cache amortizes lowering) and is lowered on the spot otherwise; a
-   shard view selects the sharded driver, and [subset] the slice of it
-   this process executes. *)
-let run_wcoj ~ctx ?ir ?view ?subset ~shards engine db q =
+   cache amortizes lowering) and is lowered on the spot otherwise;
+   [shards > 1] selects the sharded driver, which splits the atoms of
+   the snapshot [db] per execution, and [subset] the slice of it this
+   process executes. *)
+let run_wcoj ~ctx ?ir ?subset ~shards engine db q =
   let ir =
     match (ir, Planner.compile_engine engine) with
     | Some ir, _ -> ir
@@ -155,10 +155,8 @@ let run_wcoj ~ctx ?ir ?view ?subset ~shards engine db q =
     | None, None ->
         invalid_arg (Planner.engine_name engine ^ " is not a WCOJ engine")
   in
-  match view with
-  | Some view when shards > 1 ->
-      Lb_relalg.Compile.run_sharded ~ctx ~view ?subset ~shards ir db q
-  | _ -> Lb_relalg.Compile.answer ~ctx ir db q
+  if shards > 1 then Lb_relalg.Compile.run_sharded ~ctx ?subset ~shards ir db q
+  else Lb_relalg.Compile.answer ~ctx ir db q
 
 (* The decomposition route: a planner-chosen plan races the flat WCOJ
    against its bag bound and builds bags only when that runs out; a
@@ -356,7 +354,6 @@ let snapshot_doc t =
     [
       ("v", Json.Int 1);
       ("version", Json.Int (Catalog.version t.catalog));
-      ("shards", Json.Int (Catalog.shards t.catalog));
       ("relations", Json.List relations);
       ("results", Json.List results);
     ]
@@ -567,12 +564,10 @@ let open_durable t dir =
 let create ?(config = default_config) () =
   if config.max_pending < 1 then invalid_arg "Server.create: max_pending < 1";
   if config.shards < 1 then invalid_arg "Server.create: shards < 1";
-  let catalog = Catalog.create () in
-  Catalog.set_shards catalog config.shards;
   let t =
     {
       config;
-      catalog;
+      catalog = Catalog.create ();
       plan_cache = Lru.create config.plan_cache_size;
       result_cache = Lru.create config.result_cache_size;
       metrics = Metrics.create ();
@@ -601,10 +596,7 @@ type task = {
   result_key : string;
   sink : Metrics.t;
   budget : Budget.t option;
-  shards : int;
-  view : Shard.view option;
-      (* prebuilt in the sequential phase from the catalog's warm
-         partitions, so the parallel phase touches no catalog state *)
+  shards : int; (* > 1: the sharded driver, and eligible to scatter *)
   mutable outcome : exec_outcome;
   mutable elapsed_ms : float;
   mutable collapsed : bool;
@@ -635,8 +627,7 @@ let run_engine ?pool (task : task) db =
       Option.iter Budget.check budget;
       rel
   | (Planner.Generic_join | Planner.Leapfrog) as e ->
-      run_wcoj ~ctx ?ir:task.plan.Planner.compiled ?view:task.view
-        ~shards:task.shards e db q
+      run_wcoj ~ctx ?ir:task.plan.Planner.compiled ~shards:task.shards e db q
   | Planner.Binary_hash ->
       Option.iter Budget.check budget;
       let rel, stats =
@@ -864,6 +855,30 @@ let request_budget t ~max_ticks ~timeout_ms =
   | None, None -> None
   | _ -> Some (Budget.create ?ticks ?seconds ())
 
+(* The shard count an uncached query executes at: the configured one
+   for a WCOJ plan over at least one variable whose atoms all bind
+   against the catalog, 1 otherwise - so a query that cannot bind
+   fails exactly as it does unsharded and is never scattered.  The
+   sharded driver builds its shard view from the snapshot it runs
+   on. *)
+let shards_for t (plan : Planner.plan) (q : Q.t) =
+  let db = Catalog.database t.catalog in
+  let binds (a : Q.atom) =
+    match Db.find_opt db a.Q.rel with
+    | Some r -> R.width r = Array.length a.Q.attrs
+    | None -> false
+  in
+  if
+    t.config.shards > 1
+    && Planner.compile_engine plan.Planner.engine <> None
+    && Array.length (Q.attributes q) > 0
+    && List.for_all binds q
+  then begin
+    incr t "serve.shard.views";
+    t.config.shards
+  end
+  else 1
+
 (* Sequential phase A for a query: parse, plan, consult the result
    cache; anything that avoids execution is Ready. *)
 let prepare_query t text (opts : Protocol.query_opts) =
@@ -881,34 +896,6 @@ let prepare_query t text (opts : Protocol.query_opts) =
           let result_key =
             Printf.sprintf "%d|%s" (Catalog.version t.catalog) canonical
           in
-          let shards = t.config.shards in
-          (* Build the shard view sequentially, against the catalog's
-             warm partition cache; engines that cannot shard (or a
-             query with no variables) fall back to the unsharded path
-             with [view = None]. *)
-          let view =
-            if shards < 2 then None
-            else
-              match plan.Planner.engine with
-              | Planner.Generic_join | Planner.Leapfrog -> (
-                  let attrs = Q.attributes q in
-                  if Array.length attrs = 0 then None
-                  else
-                    match
-                      Shard.view
-                        ~hook:(Catalog.partition_hook t.catalog ~k:shards)
-                        ~attr:attrs.(0) ~k:shards
-                        (Catalog.database t.catalog)
-                        q
-                    with
-                    | view ->
-                        incr t "serve.shard.views";
-                        Some view
-                    | exception Invalid_argument _ -> None)
-              | Planner.Yannakakis | Planner.Binary_hash
-              | Planner.Decomposed ->
-                  None
-          in
           let task =
             {
               query = q;
@@ -918,8 +905,7 @@ let prepare_query t text (opts : Protocol.query_opts) =
               result_key;
               sink = Metrics.create ();
               budget = None;
-              shards;
-              view;
+              shards = 1;
               outcome = Failed "not executed";
               elapsed_ms = 0.0;
               collapsed = false;
@@ -947,7 +933,7 @@ let prepare_query t text (opts : Protocol.query_opts) =
                 request_budget t ~max_ticks:opts.Protocol.max_ticks
                   ~timeout_ms:opts.Protocol.timeout_ms
               in
-              Pending { task with budget }))
+              Pending { task with budget; shards = shards_for t plan q }))
 
 (* --- the colsub op: colorful subgraph isomorphism as a served
    workload.  Runs synchronously in the sequential phase (it reads no
@@ -1062,7 +1048,14 @@ let prepare_colsub t (c : Protocol.colsub_req) =
                @ tail)))
 
 (* A live mutation: apply, WAL-log on success, reply. *)
-let prepare_mutation t op name record =
+let prepare_mutation t (record : Wal.record) =
+  let op, name =
+    match record with
+    | Wal.Load { name; _ } -> ("load", name)
+    | Wal.Insert { name; _ } -> ("insert", name)
+    | Wal.Delete { name; _ } -> ("delete", name)
+    | Wal.Drop { name } -> ("drop", name)
+  in
   match apply_mutation t record with
   | Ok n ->
       log_mutation t record;
@@ -1077,13 +1070,13 @@ let prepare_mutation t op name record =
 
 (* --- the v2 worker surface --- *)
 
-(* One scatter slice: run the compiled sharded driver over the shard
-   view, deep-executing only the [owned] shard indices and counting
-   level-0 work iff [lead] ({!Lb_relalg.Compile.subset}).  An owned
-   index outside [0, shards) is a coordinator bug - dropping it would
-   silently lose that shard's rows - so it draws an error reply.  The
-   reply returns every owned row (shaping is the coordinator's job)
-   plus the slice's counter deltas. *)
+(* One scatter slice: run the compiled sharded driver over the
+   replica's snapshot, deep-executing only the [owned] shard indices
+   and counting level-0 work iff [lead] ({!Lb_relalg.Compile.subset}).
+   An owned index outside [0, shards) is a coordinator bug - dropping
+   it would silently lose that shard's rows - so it draws an error
+   reply.  The reply returns every owned row (shaping is the
+   coordinator's job) plus the slice's counter deltas. *)
 let exec_subquery t ~text ~engine ~shards ~owned ~lead =
   incr t "serve.dist.subqueries";
   let fail msg =
@@ -1112,47 +1105,39 @@ let exec_subquery t ~text ~engine ~shards ~owned ~lead =
                      shards)
             | None -> (
                 let db = Catalog.database t.catalog in
-                match
-                  Shard.view
-                    ~hook:(Catalog.partition_hook t.catalog ~k:shards)
-                    ~attr:attrs.(0) ~k:shards db q
-                with
+                let owned_arr = Array.make shards false in
+                List.iter (fun i -> owned_arr.(i) <- true) owned;
+                let subset =
+                  { Lb_relalg.Compile.owned = (fun i -> owned_arr.(i)); lead }
+                in
+                let sink = Metrics.create () in
+                let ctx = Exec.make ?pool:t.config.pool ~metrics:sink () in
+                match run_wcoj ~ctx ~subset ~shards engine db q with
                 | exception Invalid_argument msg -> fail msg
-                | view -> (
+                | exception Failure msg -> fail msg
+                | rel ->
                     incr t "serve.shard.views";
-                    let owned_arr = Array.make shards false in
-                    List.iter (fun i -> owned_arr.(i) <- true) owned;
-                    let subset =
-                      { Lb_relalg.Compile.owned = (fun i -> owned_arr.(i)); lead }
-                    in
-                    let sink = Metrics.create () in
-                    let ctx = Exec.make ?pool:t.config.pool ~metrics:sink () in
-                    match run_wcoj ~ctx ~view ~subset ~shards engine db q with
-                    | exception Invalid_argument msg -> fail msg
-                    | exception Failure msg -> fail msg
-                    | rel ->
-                        let ans = Ivm.canonical q rel in
-                        (* The slice's engine counters travel in the reply
-                           only: the coordinator sums them into the
-                           scattered task's sink, which [finish] merges
-                           into lifetime metrics exactly once - also when
-                           this slice is a local absorption of a dead
-                           worker's shards. *)
-                        Protocol.ok_fields_v2 ~op:"subquery"
-                          [
-                            ("version", Json.Int (Catalog.version t.catalog));
-                            ( "attributes",
-                              Json.List
-                                (List.map
-                                   (fun a -> Json.String a)
-                                   (Array.to_list ans.attributes)) );
-                            ("count", Json.Int (Array.length ans.rows));
-                            ( "rows",
-                              Json.List
-                                (List.map row_json (Array.to_list ans.rows)) );
-                            ( "counters",
-                              Protocol.counters_to_json (Metrics.counters sink) );
-                          ]))))
+                    let ans = Ivm.canonical q rel in
+                    (* The slice's engine counters travel in the reply
+                       only: the coordinator sums them into the scattered
+                       task's sink, which [finish] merges into lifetime
+                       metrics exactly once - also when this slice is a
+                       local absorption of a dead worker's shards. *)
+                    Protocol.ok_fields_v2 ~op:"subquery"
+                      [
+                        ("version", Json.Int (Catalog.version t.catalog));
+                        ( "attributes",
+                          Json.List
+                            (List.map
+                               (fun a -> Json.String a)
+                               (Array.to_list ans.attributes)) );
+                        ("count", Json.Int (Array.length ans.rows));
+                        ( "rows",
+                          Json.List (List.map row_json (Array.to_list ans.rows))
+                        );
+                        ( "counters",
+                          Protocol.counters_to_json (Metrics.counters sink) );
+                      ])))
 
 let wal_record_of_mutation = function
   | Protocol.Load { name; attrs; tuples } ->
@@ -1196,8 +1181,7 @@ let prepare_sync t ~version ~shards =
     Ready (Protocol.error_response "\"shards\" must be >= 1")
   end
   else begin
-    let mapped = Catalog.restore ~shards t.catalog ~version parsed in
-    ignore mapped;
+    ignore (Catalog.restore t.catalog ~version parsed);
     Lru.clear t.plan_cache;
     Lru.clear t.result_cache;
     incr t "serve.dist.syncs";
@@ -1291,22 +1275,9 @@ let prepare t ~req_v (req : Protocol.request) =
              ("durable", Json.Bool (t.durable <> None));
              ("version", Json.Int (Catalog.version t.catalog));
            ])
-  | Protocol.Load { name; attrs; tuples } ->
-      prepare_mutation t "load" name
-        (Wal.Load
-           {
-             name;
-             attrs = Array.of_list attrs;
-             tuples = List.map Array.of_list tuples;
-           })
-  | Protocol.Insert { name; tuples } ->
-      prepare_mutation t "insert" name
-        (Wal.Insert { name; tuples = List.map Array.of_list tuples })
-  | Protocol.Delete { name; tuples } ->
-      prepare_mutation t "delete" name
-        (Wal.Delete { name; tuples = List.map Array.of_list tuples })
-  | Protocol.Drop { name } ->
-      prepare_mutation t "drop" name (Wal.Drop { name })
+  | Protocol.Load _ | Protocol.Insert _ | Protocol.Delete _ | Protocol.Drop _
+    ->
+      prepare_mutation t (Option.get (wal_record_of_mutation req))
   | Protocol.Explain { text } -> (
       incr t "serve.explains";
       match Q.parse text with
@@ -1452,11 +1423,11 @@ let run_tasks t (tasks : task list) =
      rest of the window keeps its pool fan-out. *)
   let dist, local =
     match t.dispatcher with
-    | Some _ when t.config.shards > 1 ->
+    | Some _ ->
         List.partition
-          (fun (task : task) -> task.budget = None && task.view <> None)
+          (fun (task : task) -> task.budget = None && task.shards > 1)
           to_run
-    | _ -> ([], to_run)
+    | None -> ([], to_run)
   in
   (match t.dispatcher with
   | Some disp -> List.iter (fun task -> execute_dist t disp task db) dist

@@ -31,8 +31,8 @@
     ["cached":true].
 
     Writes and IVM: [insert]/[delete] apply to the catalog's delta
-    tries ({!Lb_relalg.Delta_trie} - no full rebuild, warm shard
-    partitions patched in place) and then {e maintain} affected cached
+    tries ({!Lb_relalg.Delta_trie} - no full rebuild) and then
+    {e maintain} affected cached
     answers through the delta rules in {!Ivm} instead of flushing them
     - byte-identical to a recompute, counted by [serve.ivm.maintained]
     / [serve.ivm.refreshed] / [serve.ivm.invalidated] /
@@ -74,9 +74,9 @@ type config = {
   pool : Lb_util.Pool.t option;  (** engine / window parallelism *)
   shards : int;
       (** [> 1] runs WCOJ queries through the sharded driver
-          ({!Lb_relalg.Compile.run_sharded}) against the catalog's
-          warm partitions; answers and counters are bit-identical to
-          unsharded runs.  1 = off. *)
+          ({!Lb_relalg.Compile.run_sharded}), which splits each bound
+          atom of the catalog snapshot per query; answers and counters
+          are bit-identical to unsharded runs.  1 = off. *)
   ivm : bool;
       (** maintain cached results across writes via {!Ivm}; [false]
           (`--no-ivm`) invalidates instead. *)

@@ -630,6 +630,68 @@ let shard_partition_roundtrip () =
              |> List.for_all Fun.id)
         [ 1; 2; 5 ])
 
+(* The view's split: one pass that keeps input order, each bucket built
+   without a sort.  On the sorted duplicate-free relations every
+   constructor and [Query.bind_atom] hand it, each bucket must equal
+   [Relation.make] of its own rows - same rows, same order. *)
+let shard_split_buckets_sorted () =
+  check ~name:"shard_split_buckets_sorted" ~base:0x65 ~max_size:10
+    (fun rng ~size ->
+      let width = 1 + Prng.int rng 3 in
+      let n = Prng.int rng (8 * size) in
+      let dom = 1 + Prng.int rng 40 in
+      let attrs = Array.init width (Printf.sprintf "c%d") in
+      let rel =
+        Rel.make attrs
+          (List.init n (fun _ -> Array.init width (fun _ -> Prng.int rng dom)))
+      in
+      (rel, attrs.(Prng.int rng width)))
+    (fun (r, attr) ->
+      Printf.sprintf "Rel(%d tuples, width %d) on %s" (Rel.cardinality r)
+        (Rel.width r) attr)
+    (fun (r, attr) ->
+      List.for_all
+        (fun k ->
+          let parts = Shard.partition ~k ~attr r in
+          Array.length parts = k
+          && Array.fold_left (fun n p -> n + Rel.cardinality p) 0 parts
+             = Rel.cardinality r
+          && Array.for_all
+               (fun p ->
+                 let rows = Rel.tuples p in
+                 rows = Rel.tuples (Rel.make (Rel.attrs p) (Array.to_list rows)))
+               parts)
+        [ 1; 2; 3; 7 ])
+
+(* A hypergraph with at most two edges is alpha-acyclic, so the planner
+   routes every such query to Yannakakis - self-joins and repeated
+   variables included. *)
+let planner_small_queries_acyclic () =
+  check ~name:"planner_small_queries_acyclic" ~base:0x66 ~max_size:6
+    (fun rng ~size ->
+      let arity = [| 1 + Prng.int rng 3; 1 + Prng.int rng 3 |] in
+      let db =
+        Db.of_list
+          (List.init 2 (fun i ->
+               let w = arity.(i) in
+               ( Printf.sprintf "R%d" i,
+                 Rel.make
+                   (Array.init w (Printf.sprintf "c%d"))
+                   (List.init (1 + Prng.int rng (4 * size)) (fun _ ->
+                        Array.init w (fun _ -> Prng.int rng 5))) )))
+      in
+      let nvars = 1 + Prng.int rng 4 in
+      let atom () =
+        let r = Prng.int rng 2 in
+        Q.atom (Printf.sprintf "R%d" r)
+          (Array.init arity.(r) (fun _ -> Printf.sprintf "x%d" (Prng.int rng nvars)))
+      in
+      (db, List.init (Prng.int rng 3) (fun _ -> atom ())))
+    show_cq
+    (fun (db, q) ->
+      (Lb_service.Planner.choose db q).Lb_service.Planner.engine
+      = Lb_service.Planner.Yannakakis)
+
 (* The runner itself: a false property must fail, shrink to the minimum
    size, and report a replayable seed. *)
 let runner_reports_failures () =
@@ -687,4 +749,8 @@ let suite =
       sharded_one_shard_adversarial );
     ("prop: sharded skew split", `Quick, sharded_skew_split);
     ("prop: shard partition round trip", `Quick, shard_partition_roundtrip);
+    ("prop: shard split buckets sorted", `Quick, shard_split_buckets_sorted);
+    ( "prop: planner routes <=2 atoms acyclic",
+      `Quick,
+      planner_small_queries_acyclic );
   ]

@@ -694,6 +694,111 @@ let test_sharded_server_bit_identical () =
       (Planner.Leapfrog, "leapfrog.seeks");
     ]
 
+(* A reply without its wall-clock field, for byte comparison. *)
+let without_elapsed = function
+  | Json.Obj fields ->
+      Json.to_string
+        (Json.Obj (List.filter (fun (k, _) -> k <> "elapsed_ms") fields))
+  | j -> Json.to_string j
+
+(* The sharded driver splits the current catalog snapshot per query, so
+   writes need no shard maintenance: over a seeded stream of loads,
+   inserts and deletes, a shards = 3 server answers every query - fresh
+   (sharded, with its engine counters in the reply) and IVM-maintained
+   - byte-identically to a shards = 1 server after every write, and
+   the lifetime engine counters agree. *)
+let test_sharded_write_stream () =
+  let rng = Prng.create 2026 in
+  let rows n = List.init n (fun _ -> [ Prng.int rng 10; Prng.int rng 10 ]) in
+  let plain = Server.create () in
+  let sharded =
+    Server.create ~config:{ Server.default_config with shards = 3 } ()
+  in
+  let both req = (Server.handle plain req, Server.handle sharded req) in
+  let same ctxt (r0, r1) =
+    expect_ok ctxt r0;
+    check Alcotest.string ctxt (without_elapsed r0) (without_elapsed r1)
+  in
+  same "load E" (both (load_req "E" [ "u"; "v" ] (rows 40)));
+  same "load F" (both (load_req "F" [ "u"; "v" ] (rows 40)));
+  let engine_counters srv =
+    List.filter
+      (fun (k, _) ->
+        String.starts_with ~prefix:"generic_join." k
+        || String.starts_with ~prefix:"leapfrog." k)
+      (Metrics.counters (Server.metrics srv))
+  in
+  for step = 1 to 24 do
+    let name = if Prng.bool rng then "E" else "F" in
+    let req =
+      match Prng.int rng 5 with
+      | 0 -> load_req name [ "u"; "v" ] (rows (20 + Prng.int rng 20))
+      | 1 | 2 -> Protocol.Insert { name; tuples = rows (1 + Prng.int rng 6) }
+      | _ -> Protocol.Delete { name; tuples = rows (1 + Prng.int rng 6) }
+    in
+    let ctxt = Printf.sprintf "step %d" step in
+    same (ctxt ^ ": write") (both req);
+    List.iter
+      (fun (engine, text) ->
+        same
+          (Printf.sprintf "%s: %s %s" ctxt (Planner.engine_name engine) text)
+          (both (query_req ~engine text)))
+      [
+        (Planner.Generic_join, "E(x,y), E(y,z), F(z,x)");
+        (Planner.Leapfrog, "E(x,y), F(y,z), E(z,x)");
+        (* fresh text every step: never cached, so it runs sharded *)
+        ( Planner.Generic_join,
+          Printf.sprintf "E(a%d,b), F(b,c), E(c,d), F(d,a%d)" step step );
+      ];
+    check
+      Alcotest.(list (pair string int))
+      (ctxt ^ ": lifetime engine counters")
+      (engine_counters plain) (engine_counters sharded)
+  done;
+  match
+    Metrics.find_counter (Server.metrics sharded) "serve.shard.views"
+  with
+  | Some n when n >= 24 -> ()
+  | _ -> Alcotest.fail "fresh queries did not run sharded"
+
+(* A query that does not bind - an unknown relation, or an atom whose
+   arity differs from its relation's - answers the same error at shards
+   1 and 3, and a coordinator never sees it. *)
+let test_sharded_unbound_query () =
+  let edges = [ [ 1; 2 ]; [ 2; 3 ]; [ 3; 1 ] ] in
+  let plain = Server.create () in
+  let sharded =
+    Server.create ~config:{ Server.default_config with shards = 3 } ()
+  in
+  Server.set_dispatcher sharded
+    {
+      Server.dispatch_query =
+        (fun ~text ~engine:_ -> Alcotest.failf "dispatched %S" text);
+      notify_mutation = (fun ~version:_ _ -> ());
+    };
+  List.iter
+    (fun srv -> ignore (handle_ok srv "load E" (load_req "E" [ "u"; "v" ] edges)))
+    [ plain; sharded ];
+  List.iter
+    (fun text ->
+      List.iter
+        (fun engine ->
+          let req = query_req ?engine text in
+          let r0 = Server.handle plain req and r1 = Server.handle sharded req in
+          check Alcotest.string (text ^ ": an error") "error" (status r0);
+          check Alcotest.string (text ^ ": same reply at shards 1 and 3")
+            (without_elapsed r0) (without_elapsed r1))
+        [ None; Some Planner.Generic_join; Some Planner.Leapfrog ])
+    [
+      "E(x,y), E(y,z), Nope(z,x)";
+      "E(x,y), E(y,z), E(z,x,w)";
+      "Nope(x,y), E(y,z), E(z,x,w)";
+    ];
+  check
+    Alcotest.(option int)
+    "no scatter" None
+    (Metrics.find_counter (Server.metrics sharded) "serve.dist.scatters")
+
 (* --- distributed fallback: transport failures only, counted by cause --- *)
 
 (* A scatter whose dispatcher fails in transport falls back to local
@@ -1052,6 +1157,10 @@ let suite =
       test_batch_timeout_isolation;
     Alcotest.test_case "sharded server answers bit-identical" `Quick
       test_sharded_server_bit_identical;
+    Alcotest.test_case "sharded server = unsharded over a write stream"
+      `Quick test_sharded_write_stream;
+    Alcotest.test_case "unbound query: same error, never scattered" `Quick
+      test_sharded_unbound_query;
     Alcotest.test_case "compiled tier served bit-identical, plans cached"
       `Quick test_compile_tier_served;
     Alcotest.test_case "dist fallback only on transport failures" `Quick
