@@ -39,10 +39,9 @@ module Tuple_set = Set.Make (struct
   let compare = compare_tuples
 end)
 
-(* Trusted constructor from known-duplicate-free rows (kept in the
-   order given - the write path hands them lexicographically sorted so
-   downstream trie builds can skip the sort).  Ownership of [rows]
-   transfers to the relation. *)
+(* Trusted constructor from known-duplicate-free rows, kept in the
+   order given (the catalog's write merge hands them lexicographically
+   sorted).  Ownership of [rows] transfers to the relation. *)
 let of_sorted_distinct attrs rows =
   check_attrs attrs;
   let width = Array.length attrs in

@@ -9,10 +9,11 @@ type t
     tuples. *)
 val make : string array -> int array list -> t
 
-(** Trusted constructor: [rows] must be duplicate-free (and, for the
-    write path's downstream trie builds to stay sort-free, already
-    lexicographically sorted).  No dedup, no copy of the rows -
-    ownership transfers.  Raises on invalid schemas or ragged rows. *)
+(** Trusted constructor: [rows] must be duplicate-free (and, wherever
+    the sorted form is relied on - the catalog's stored rows, shard
+    buckets - already lexicographically sorted).  No dedup, no copy of
+    the rows - ownership transfers.  Raises on invalid schemas or
+    ragged rows. *)
 val of_sorted_distinct : string array -> int array array -> t
 
 (** Monomorphic lexicographic comparison of two equal-width tuples -

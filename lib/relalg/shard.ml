@@ -36,9 +36,11 @@ let partition ~k ~attr rel =
     (fun b -> Relation.of_sorted_distinct (Relation.attrs rel) (Array.of_list b))
     buckets
 
-(* k-way merge of the shards' sorted duplicate-free tuple arrays.  The
-   shards of one partition are key-disjoint, so no dedup is needed here;
-   Relation.make still validates and canonicalizes. *)
+(* k-way merge of the shards' sorted duplicate-free tuple arrays
+   straight into the result.  The shards of one partition are
+   key-disjoint, so the merged stream must be strictly increasing; a
+   row that is not is a malformed input (say, a bad worker reply) and
+   raises instead of being silently re-sorted. *)
 let merge_sorted shards =
   if Array.length shards = 0 then invalid_arg "Shard.merge_sorted: no shards";
   let attrs = Relation.attrs shards.(0) in
@@ -51,27 +53,28 @@ let merge_sorted shards =
     shards;
   let arrs = Array.map Relation.tuples shards in
   let pos = Array.map (fun _ -> 0) arrs in
-  let out = ref [] in
-  let rec next () =
+  let out =
+    Array.make (Array.fold_left (fun n a -> n + Array.length a) 0 arrs) [||]
+  in
+  for k = 0 to Array.length out - 1 do
     let best = ref (-1) in
     Array.iteri
       (fun i p ->
-        if p < Array.length arrs.(i) then
-          match !best with
-          | -1 -> best := i
-          | b ->
-              if Relation.compare_tuples arrs.(i).(p) arrs.(b).(pos.(b)) < 0
-              then best := i)
+        if
+          p < Array.length arrs.(i)
+          && (!best < 0
+             || Relation.compare_tuples arrs.(i).(p) arrs.(!best).(pos.(!best))
+                < 0)
+        then best := i)
       pos;
-    match !best with
-    | -1 -> ()
-    | b ->
-        out := arrs.(b).(pos.(b)) :: !out;
-        pos.(b) <- pos.(b) + 1;
-        next ()
-  in
-  next ();
-  Relation.make attrs (List.rev !out)
+    let b = !best in
+    let row = arrs.(b).(pos.(b)) in
+    if k > 0 && Relation.compare_tuples out.(k - 1) row >= 0 then
+      invalid_arg "Shard.merge_sorted: shards not sorted and disjoint";
+    out.(k) <- row;
+    pos.(b) <- pos.(b) + 1
+  done;
+  Relation.of_sorted_distinct attrs out
 
 (* --- query views --- *)
 

@@ -27,8 +27,11 @@ val shard_of : k:int -> int -> int
 val partition : k:int -> attr:string -> Relation.t -> Relation.t array
 
 (** Deterministic union of per-shard results: k-way merge of the
-    shards' (sorted, duplicate-free) tuple arrays.  All shards must
-    share the first shard's schema. *)
+    shards' sorted, duplicate-free, mutually disjoint tuple arrays into
+    one array, with no re-sort.  All shards must share the first
+    shard's schema.  Raises [Invalid_argument] when the merged rows are
+    not strictly increasing (an unsorted shard, or a row in two
+    shards), on a schema mismatch, and on no shards. *)
 val merge_sorted : Relation.t array -> Relation.t
 
 (** A query's atoms partitioned for execution: atoms containing the

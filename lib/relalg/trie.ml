@@ -20,7 +20,6 @@
    O(log k), which is what makes LFTJ's amortized seek bound real. *)
 
 module Column = Lb_util.Column
-module Arena = Lb_util.Arena
 
 type t = {
   attrs : string array; (* relation attrs permuted into global order *)
@@ -169,10 +168,8 @@ let rec sort_lex (cols : Column.t array) (key : Column.t) (perm : Column.t)
 
 (* Build from a relation: permute columns so attributes appear in the
    order induced by [order] (a global variable order containing all of
-   the relation's attributes).  The sort scratch (unsorted columns, key,
-   permutation) comes from [scratch] when given and is released before
-   returning; only the final sorted columns are fresh allocations. *)
-let build ?scratch ~order rel =
+   the relation's attributes). *)
+let build ~order rel =
   let position = Hashtbl.create 16 in
   Array.iteri (fun i x -> Hashtbl.replace position x i) order;
   let cols_spec =
@@ -189,58 +186,28 @@ let build ?scratch ~order rel =
   let width = Array.length attrs in
   let tuples = Relation.tuples rel in
   let n = Array.length tuples in
-  let amark = Option.map (fun a -> (a, Arena.mark a)) scratch in
-  let salloc len =
-    match scratch with Some a -> Arena.alloc a len | None -> Column.create len
-  in
   (* columnar copy in source row order *)
   let unsorted =
     Array.init width (fun d ->
         let s = src.(d) in
-        let c = salloc n in
+        let c = Column.create n in
         for i = 0 to n - 1 do
           Column.unsafe_set c i tuples.(i).(s)
         done;
         c)
   in
-  let perm = salloc n in
+  let perm = Column.create n in
   for i = 0 to n - 1 do
     Column.unsafe_set perm i i
   done;
-  let key = salloc (max n 1) in
+  let key = Column.create (max n 1) in
   sort_lex unsorted key perm 0 0 n;
   let cols =
     Array.init width (fun d ->
         let u = unsorted.(d) in
         Column.init n (fun i -> Column.unsafe_get u (Column.unsafe_get perm i)))
   in
-  (match amark with Some (a, m) -> Arena.release a m | None -> ());
   { attrs; nrows = n; cols }
-
-(* Trusted constructor from pre-sorted distinct rows: columnarize, no
-   sort, no dedup.  The write path's delta merges produce exactly this
-   shape, so rebuilding a trie after a small write is O(n * width)
-   instead of a fresh O(n log n) lexicographic sort. *)
-let of_sorted_rows attrs rows =
-  let width = Array.length attrs in
-  let n = Array.length rows in
-  let cols =
-    Array.init width (fun d -> Column.init n (fun i -> rows.(i).(d)))
-  in
-  { attrs = Array.copy attrs; nrows = n; cols }
-
-(* Trusted zero-copy constructor: adopt already-sorted columns (e.g.
-   views into an mmap'd snapshot image) as trie levels.  Each column
-   must hold [nrows] keys and the implied rows must be lexicographically
-   sorted and distinct - nothing is checked or copied. *)
-let of_columns attrs ~nrows cols =
-  if Array.length cols <> Array.length attrs then
-    invalid_arg "Trie.of_columns: width";
-  Array.iter
-    (fun c ->
-      if Column.length c <> nrows then invalid_arg "Trie.of_columns: length")
-    cols;
-  { attrs = Array.copy attrs; nrows; cols = Array.copy cols }
 
 (* First index in [lo, hi) whose key at [depth] is >= v. *)
 let lower_bound t ~depth ~lo ~hi v = gallop_geq t.cols.(depth) lo hi v

@@ -19,22 +19,8 @@ val column : t -> int -> Lb_util.Column.t
 
 (** Permute the relation's columns into the order induced by the global
     [order] and sort lexicographically.  Raises if some attribute is
-    missing from [order].  [scratch] backs the sort's temporaries
-    (released before returning); without it they are fresh off-heap
-    columns. *)
-val build : ?scratch:Lb_util.Arena.t -> order:string array -> Relation.t -> t
-
-(** Trusted constructor: [rows] must already be lexicographically
-    sorted, duplicate-free, and of width [|attrs|] - no sort, no dedup,
-    O(n * width).  The delta-trie compaction and the catalog's write
-    path produce exactly this shape. *)
-val of_sorted_rows : string array -> int array array -> t
-
-(** Trusted zero-copy constructor: adopt pre-sorted columns (typically
-    views into an mmap'd snapshot) as the trie levels.  Every column
-    must have length [nrows]; the implied rows must be sorted and
-    distinct.  Nothing is copied or validated beyond the lengths. *)
-val of_columns : string array -> nrows:int -> Lb_util.Column.t array -> t
+    missing from [order]. *)
+val build : order:string array -> Relation.t -> t
 
 (** [gallop_geq col lo hi v] is the first index in [\[lo, hi)] with
     [col.(i) >= v] ([hi] if none), by exponential search from [lo]: the

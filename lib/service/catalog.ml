@@ -1,17 +1,19 @@
-(* Versioned mutable catalog over the immutable Database.t, with a
-   delta-trie master copy per relation.
+(* Versioned mutable catalog over the immutable Database.t.
 
-   Storage: each relation is held as a {!Lb_relalg.Delta_trie} - a base
-   columnar trie plus sorted delta side tries.  Writes (insert/delete)
-   apply an O(d log d) batch to the delta trie and re-materialize the
-   Relation.t snapshot by one O(n + d) k-way merge (no re-sort, no
-   dedup hash); loads build a fresh base.  Catalog relations therefore
-   always hold their tuples lexicographically sorted - the dump form
-   snapshots write and recovery adopts.
+   Storage: each relation is held once, as its Relation.t - the
+   lexicographically sorted, duplicate-free rows that every engine,
+   IVM, snapshot and the coordinator read.  A write is one linear
+   merge: the batch is sorted and deduplicated (O(d log d)), each of
+   its rows is located in the stored rows by binary search, and one new
+   row array is built in O(n + d) that shares every untouched row with
+   the previous version.  Nothing is mutated in place, so an earlier
+   {!database} snapshot keeps answering for its own rows.  Loads
+   sort-dedup through Relation.make; stored rows are always in the dump
+   form snapshots write and recovery adopts.
 
    A sharded query keeps nothing here: it hash-splits its bound atoms
-   per execution ({!Lb_relalg.Shard.view}), so each relation is stored
-   twice (rows and delta trie) and writes maintain no partitions.
+   per execution ({!Lb_relalg.Shard.view}), so writes maintain no
+   partitions.
 
    Versions: a global version (+1 per successful mutation, keys batch
    grouping) and a per-relation version (bumped only when that relation
@@ -20,26 +22,14 @@
 
 module Db = Lb_relalg.Database
 module R = Lb_relalg.Relation
-module Delta_trie = Lb_relalg.Delta_trie
 
 type t = {
   mutable db : Db.t;
-  store : (string, Delta_trie.t) Hashtbl.t; (* master copies *)
   versions : (string, int) Hashtbl.t; (* per-relation; survives drop *)
   mutable version : int;
-  arena : Lb_util.Arena.t;
-      (* sort scratch for trie builds; mutations run single-threaded
-         under the server's write mutex, so one arena is safe *)
 }
 
-let create () =
-  {
-    db = Db.empty;
-    store = Hashtbl.create 16;
-    versions = Hashtbl.create 16;
-    version = 0;
-    arena = Lb_util.Arena.create ();
-  }
+let create () = { db = Db.empty; versions = Hashtbl.create 16; version = 0 }
 
 let version t = t.version
 
@@ -52,13 +42,9 @@ let version_vector t names =
   List.sort_uniq String.compare names
   |> List.map (fun n -> (n, rel_version t n))
 
-let delta_stats t name =
-  Option.map
-    (fun dt ->
-      ( Delta_trie.side_count dt,
-        Delta_trie.delta_rows dt,
-        Delta_trie.compactions dt ))
-    (Hashtbl.find_opt t.store name)
+(* Kept for perfbench's trace only (no server caller): the catalog
+   keeps no side layers, so a stored relation has none to report. *)
+let delta_stats t name = Option.map (fun _ -> (0, 0, 0)) (Db.find_opt t.db name)
 
 let without t name =
   Db.of_list
@@ -76,55 +62,72 @@ let load t ~name ~attrs tuples =
   match R.make attrs tuples with
   | exception Invalid_argument msg -> Error msg
   | rel ->
-      Hashtbl.replace t.store name
-        (Delta_trie.of_relation ~scratch:t.arena rel);
       bump t name (Db.add (without t name) name rel);
       Ok (R.cardinality rel)
 
-(* Shared write path: apply the batch to the delta trie, re-materialize
-   the snapshot by one merge.  Returns the
-   effective rows (what actually changed state) for cache
-   maintenance. *)
-let write t ~name ~inserts ~deletes =
-  match Hashtbl.find_opt t.store name with
+(* The batch sorted and duplicate-free.  Rows are copied, so the stored
+   relation never aliases an array the caller still holds. *)
+let sorted_batch tuples =
+  let a = Array.of_list (List.map Array.copy tuples) in
+  Array.sort R.compare_tuples a;
+  let n = ref 0 in
+  Array.iteri
+    (fun i r ->
+      if i = 0 || R.compare_tuples a.(!n - 1) r <> 0 then begin
+        a.(!n) <- r;
+        incr n
+      end)
+    a;
+  Array.sub a 0 !n
+
+let mem_sorted (rows : int array array) row =
+  let lo = ref 0 and hi = ref (Array.length rows) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if R.compare_tuples rows.(mid) row < 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo < Array.length rows && R.compare_tuples rows.(!lo) row = 0
+
+let filter_rows f rows = Array.of_list (List.filter f (Array.to_list rows))
+
+(* Shared write path: validate widths, then [apply] the sorted batch to
+   the stored rows, returning the effective rows (the batch rows that
+   actually change state - what cache maintenance needs) and the new
+   rows, built by one linear merge that shares every untouched row. *)
+let write t ~name tuples ~apply =
+  match Db.find_opt t.db name with
   | None -> Error (Printf.sprintf "no relation %S" name)
-  | Some dt -> (
-      match Delta_trie.apply dt ~inserts ~deletes with
-      | exception Invalid_argument _ ->
-          let width = Delta_trie.width dt in
-          let ragged =
-            List.find_opt
-              (fun tup -> Array.length tup <> width)
-              (inserts @ deletes)
-          in
+  | Some rel -> (
+      let width = R.width rel in
+      match List.find_opt (fun tup -> Array.length tup <> width) tuples with
+      | Some tup ->
           Error
-            (match ragged with
-            | Some tup ->
-                Printf.sprintf
-                  "tuple of width %d does not fit %S (width %d)"
-                  (Array.length tup) name width
-            | None -> Printf.sprintf "invalid tuples for %S" name)
-      | { Delta_trie.dt = dt'; added; removed } ->
-          let rel = Delta_trie.to_relation dt' in
-          Hashtbl.replace t.store name dt';
+            (Printf.sprintf "tuple of width %d does not fit %S (width %d)"
+               (Array.length tup) name width)
+      | None ->
+          let stored = R.tuples rel in
+          let effective, rows = apply stored (sorted_batch tuples) in
+          let rel =
+            if Array.length effective = 0 then rel
+            else R.of_sorted_distinct (R.attrs rel) rows
+          in
           bump t name (Db.add (without t name) name rel);
-          Ok (R.cardinality rel, added, removed))
+          Ok (R.cardinality rel, effective))
 
 let insert t ~name tuples =
-  Result.map
-    (fun (n, added, _) -> (n, added))
-    (write t ~name ~inserts:tuples ~deletes:[])
+  write t ~name tuples ~apply:(fun stored batch ->
+      let added = filter_rows (fun r -> not (mem_sorted stored r)) batch in
+      (added, Ivm.union_rows stored added))
 
 let delete t ~name tuples =
-  Result.map
-    (fun (n, _, removed) -> (n, removed))
-    (write t ~name ~inserts:[] ~deletes:tuples)
+  write t ~name tuples ~apply:(fun stored batch ->
+      let removed = filter_rows (mem_sorted stored) batch in
+      (removed, Ivm.diff_rows stored removed))
 
 let drop t ~name =
   match Db.find_opt t.db name with
   | None -> Error (Printf.sprintf "no relation %S" name)
   | Some _ ->
-      Hashtbl.remove t.store name;
       bump t name (without t name);
       Ok ()
 
@@ -143,8 +146,8 @@ let dump t =
          (n, R.attrs rel, R.tuples rel, rel_version t n))
 
 (* Rows exactly as [dump] wrote them: rectangular, lexicographically
-   sorted, duplicate-free - the precondition for adopting a prebuilt
-   trie and for [R.of_sorted_distinct].  O(n * width). *)
+   sorted, duplicate-free - the precondition for adopting them with
+   [R.of_sorted_distinct].  O(n * width). *)
 let dump_shaped attrs (rows : int array array) =
   let w = Array.length attrs in
   let n = Array.length rows in
@@ -158,46 +161,19 @@ let dump_shaped attrs (rows : int array array) =
 
 (* Restore a snapshot: trusted state (no validation beyond R.make),
    versions set - not bumped - so persisted provenance stamps keep
-   matching.  Existing state is discarded.
-
-   [tries] is the mapped-snapshot fast path: when it supplies a
-   prebuilt trie whose shape matches the relation (and the snapshot
-   rows are in dump form), the trie is adopted as the delta-trie base
-   with no sort and no columnarization - its levels stay wherever the
-   supplier put them, e.g. in an mmap'd image.  Any mismatch falls
-   back to the ordinary build.  Returns how many relations took the
-   fast path. *)
-let restore ?tries t ~version rels =
-  Hashtbl.reset t.store;
+   matching.  Existing state is discarded.  Rows in dump form are
+   adopted as they are; anything else goes through R.make's sort and
+   dedup. *)
+let restore t ~version rels =
   Hashtbl.reset t.versions;
   t.db <- Db.empty;
   t.version <- version;
-  let mapped = ref 0 in
   List.iter
     (fun (name, attrs, rows, rv) ->
-      let prebuilt =
-        match tries with
-        | None -> None
-        | Some hook -> (
-            match hook name with
-            | Some trie
-              when Lb_relalg.Trie.attrs trie = attrs
-                   && Lb_relalg.Trie.row_count trie = Array.length rows
-                   && dump_shaped attrs rows ->
-                Some trie
-            | _ -> None)
+      let rel =
+        if dump_shaped attrs rows then R.of_sorted_distinct attrs rows
+        else R.make attrs (Array.to_list rows)
       in
-      let rel, dt =
-        match prebuilt with
-        | Some trie ->
-            incr mapped;
-            (R.of_sorted_distinct attrs rows, Delta_trie.of_trie trie)
-        | None ->
-            let rel = R.make attrs (Array.to_list rows) in
-            (rel, Delta_trie.of_relation ~scratch:t.arena rel)
-      in
-      Hashtbl.replace t.store name dt;
       Hashtbl.replace t.versions name rv;
       t.db <- Db.add t.db name rel)
-    rels;
-  !mapped
+    rels

@@ -1,16 +1,17 @@
 (** The server's mutable catalog: a named set of relations, each stored
-    as a {!Lb_relalg.Delta_trie} master copy so small writes apply as
-    delta batches instead of full rebuilds, with a global version
-    counter (+1 per successful mutation) plus a per-relation version
-    vector.  The global version keys batch grouping; the per-relation
-    versions are the provenance the IVM layer stamps cached answers
-    with, so cached results survive writes to unrelated relations.
+    once as its sorted, duplicate-free {!Lb_relalg.Relation.t}, with a
+    global version counter (+1 per successful mutation) plus a
+    per-relation version vector.  The global version keys batch
+    grouping; the per-relation versions are the provenance the IVM
+    layer stamps cached answers with, so cached results survive writes
+    to unrelated relations.
 
-    The catalog knows nothing of sharding: each relation is stored
-    twice, as sorted rows and as its delta trie.  A sharded query
-    splits its bound atoms per execution from the immutable
-    {!database} snapshot ({!Lb_relalg.Shard.view}), so writes maintain
-    no partitions. *)
+    A write is one linear merge of the sorted batch into the stored
+    rows: it builds a new row array, shares every untouched row with
+    the previous version, and never mutates an earlier {!database}
+    snapshot.  The catalog knows nothing of sharding: a sharded query
+    splits its bound atoms per execution from that immutable snapshot
+    ({!Lb_relalg.Shard.view}), so writes maintain no partitions. *)
 
 type t
 
@@ -28,8 +29,10 @@ val rel_version : t -> string -> int
     the provenance stamp for a cached answer over those relations. *)
 val version_vector : t -> string list -> (string * int) list
 
-(** [(side tries, delta rows, lifetime compactions)] of a stored
-    relation's delta trie; [None] for unknown names. *)
+(** [Some (0, 0, 0)] for a stored relation (the catalog keeps no side
+    layers, so there are no side tries, delta rows or compactions to
+    report); [None] for unknown names.  Kept only for perfbench's
+    trace; no server code calls it. *)
 val delta_stats : t -> string -> (int * int * int) option
 
 (** The current immutable database snapshot (safe to share across
@@ -45,10 +48,12 @@ val load :
   int array list ->
   (int, string) result
 
-(** Add tuples to an existing relation via its delta trie.
+(** Add tuples to an existing relation by one merge into its sorted
+    rows, O(n + d log d) for [n] stored and [d] batch rows.
     [Ok (cardinality, added)]: the grown relation's cardinality and the
     {e effective} rows (sorted, duplicate-free - already-present rows
-    are dropped), which is exactly the delta IVM maintenance needs. *)
+    are dropped), which is exactly the delta IVM maintenance needs.
+    [Error] naming the first ragged tuple leaves everything unchanged. *)
 val insert :
   t -> name:string -> int array list -> (int * int array array, string) result
 
@@ -70,19 +75,11 @@ val dump : t -> (string * string array * int array array * int) list
 
 (** Replace the entire catalog state from a snapshot.  Versions are
     restored, not bumped, so provenance stamps persisted alongside the
-    snapshot keep matching.
-
-    [tries] is the mapped-image fast path ({!Snapshot.read_image}): a
-    supplied trie whose attrs and row count match the snapshot relation
-    is adopted as the storage base directly - no sort, no
-    columnarization, levels left wherever the supplier put them (an
-    mmap'd region stays mapped).  Shape mismatches silently fall back
-    to the ordinary build, so a stale or hand-edited sidecar can slow
-    recovery but never corrupt it.  Returns the number of relations
-    that took the fast path. *)
+    snapshot keep matching.  Rows in {!dump} form (rectangular, sorted,
+    duplicate-free) are adopted without a copy; any other rows are
+    sorted and deduplicated as {!Lb_relalg.Relation.make} does. *)
 val restore :
-  ?tries:(string -> Lb_relalg.Trie.t option) ->
   t ->
   version:int ->
   (string * string array * int array array * int) list ->
-  int
+  unit

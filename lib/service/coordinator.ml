@@ -223,16 +223,24 @@ let dispatch_query t ~text ~engine =
           Ok (p :: acc))
         slices (Ok [])
     in
-    match parsed with
+    (* A slice whose rows are ragged, unsorted or overlap another
+       slice's is a malformed reply: an [Error], so the server answers
+       locally instead. *)
+    let merged =
+      let* parsed = parsed in
+      match
+        Shard.merge_sorted
+          (Array.of_list
+             (List.map
+                (fun (attrs, rows, _) -> Relation.of_sorted_distinct attrs rows)
+                parsed))
+      with
+      | merged -> Ok (parsed, merged)
+      | exception Invalid_argument msg -> Error msg
+    in
+    match merged with
     | Error _ as e -> e
-    | Ok parsed ->
-        let rels =
-          Array.of_list
-            (List.map
-               (fun (attrs, rows, _) -> Relation.of_sorted_distinct attrs rows)
-               parsed)
-        in
-        let merged = Shard.merge_sorted rels in
+    | Ok (parsed, merged) ->
         let totals = Hashtbl.create 16 in
         List.iter
           (fun (_, _, counters) ->

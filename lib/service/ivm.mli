@@ -21,10 +21,13 @@ type runner = Lb_relalg.Database.t -> Lb_relalg.Query.t -> Lb_relalg.Relation.t
 (** Project to the query's attributes and sort rows. *)
 val canonical : Lb_relalg.Query.t -> Lb_relalg.Relation.t -> answer
 
-(** Merge of two sorted duplicate-free row arrays (exposed for the
-    property tests). *)
+(** Merge of two sorted duplicate-free row arrays, one linear pass
+    that shares the input rows; [a] itself when [b] is empty (also the
+    catalog's write merge). *)
 val union_rows : int array array -> int array array -> int array array
 
+(** The rows of [a] not in [b], both sorted and duplicate-free; [a]
+    itself when [b] is empty. *)
 val diff_rows : int array array -> int array array -> int array array
 
 (** [insert_maintain ~runner ~db_old ~db_new ~name ~delta q ans] is the

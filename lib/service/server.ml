@@ -5,7 +5,7 @@
    phase runs pure engine executions against an immutable database
    snapshot.
 
-   Writes: mutations apply to the catalog's delta tries, append one
+   Writes: mutations merge into the catalog's sorted rows, append one
    fsynced WAL record when a data directory is configured, and then
    *maintain* the result cache instead of flushing it - each cached
    answer carries the per-relation version vector it was computed
@@ -358,32 +358,11 @@ let snapshot_doc t =
       ("results", Json.List results);
     ]
 
-(* The snapshot's columnar sidecar: one sorted column per attribute,
-   straight out of the already-sorted dump rows (O(n * width), no sort).
-   Keyed to its JSON document by a digest stamp so recovery can only
-   adopt an image that matches the snapshot it reads. *)
-let snapshot_stamp doc = Digest.to_hex (Digest.string (Json.to_string doc))
-
-let image_of_dump dump =
-  List.map
-    (fun (name, attrs, (rows : int array array), _rv) ->
-      let nrows = Array.length rows in
-      let cols =
-        Array.init (Array.length attrs) (fun d ->
-            Lb_util.Column.init nrows (fun i -> rows.(i).(d)))
-      in
-      (name, nrows, cols))
-    dump
-
 let checkpoint t =
   match t.durable with
   | None -> ()
   | Some d ->
-      let doc = snapshot_doc t in
-      let path = snapshot_path d.dir in
-      Snapshot.write ~path doc;
-      Snapshot.write_image ~path ~stamp:(snapshot_stamp doc)
-        (image_of_dump (Catalog.dump t.catalog));
+      Snapshot.write ~path:(snapshot_path d.dir) (snapshot_doc t);
       Wal.reset d.writer;
       d.since_snapshot <- 0;
       d.snapshot_version <- Catalog.version t.catalog;
@@ -432,7 +411,7 @@ let rows_of_json j =
               rows))
   | _ -> None
 
-let restore_snapshot ?image t doc =
+let restore_snapshot t doc =
   match (Json.int_field "version" doc, Json.member "relations" doc) with
   | Ok version, Some (Json.List rels) ->
       let parsed =
@@ -460,29 +439,7 @@ let restore_snapshot ?image t doc =
             | _ -> None)
           rels
       in
-      (* Mapped-image fast path: hand the catalog a prebuilt trie over
-         the mmap'd columns for any relation whose image shape matches
-         the snapshot's schema.  The catalog re-checks shape and row
-         form, so a bad sidecar degrades to the ordinary build. *)
-      let tries =
-        Option.map
-          (fun image ->
-            fun name ->
-             match
-               ( List.assoc_opt name
-                   (List.map (fun (n, a, _, _) -> (n, a)) parsed),
-                 List.find_opt (fun (n, _, _) -> n = name) image )
-             with
-             | Some attrs, Some (_, nrows, cols)
-               when Array.length cols = Array.length attrs -> (
-                 match Lb_relalg.Trie.of_columns attrs ~nrows cols with
-                 | exception Invalid_argument _ -> None
-                 | trie -> Some trie)
-             | _ -> None)
-          image
-      in
-      let mapped = Catalog.restore ?tries t.catalog ~version parsed in
-      Metrics.add t.metrics "serve.snapshot.mapped_relations" mapped;
+      Catalog.restore t.catalog ~version parsed;
       (* Re-warm persisted cached answers whose provenance still
          matches the restored catalog.  Restore oldest-first so the
          LRU recency order survives the round trip. *)
@@ -533,14 +490,8 @@ let open_durable t dir =
   | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   | Unix.Unix_error _ -> ());
   let snapshot_version =
-    let path = snapshot_path dir in
-    match Snapshot.read path with
-    | Some doc ->
-        (* Canonical serialization makes the reparsed document's stamp
-           equal the one computed at checkpoint, which is what unlocks
-           the columnar sidecar. *)
-        let image = Snapshot.read_image ~path ~stamp:(snapshot_stamp doc) in
-        restore_snapshot ?image t doc
+    match Snapshot.read (snapshot_path dir) with
+    | Some doc -> restore_snapshot t doc
     | None -> 0
   in
   let replayed = Wal.replay (wal_path dir) in

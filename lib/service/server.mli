@@ -30,8 +30,8 @@
     if maintenance missed it.  Cached answers are reported with
     ["cached":true].
 
-    Writes and IVM: [insert]/[delete] apply to the catalog's delta
-    tries ({!Lb_relalg.Delta_trie} - no full rebuild) and then
+    Writes and IVM: [insert]/[delete] merge the batch into the
+    catalog's sorted rows (one linear pass, no rebuild) and then
     {e maintain} affected cached
     answers through the delta rules in {!Ivm} instead of flushing them
     - byte-identical to a recompute, counted by [serve.ivm.maintained]

@@ -24,20 +24,19 @@ let write ~path doc =
       Unix.fsync fd);
   Sys.rename tmp path
 
-(* --- columnar image sidecar (mmap'd snapshot read path) ---
+(* --- columnar image sidecar ---
 
-   Next to the JSON snapshot the server writes a raw columnar image of
-   the catalog: per relation, the lexicographically sorted trie columns
-   as native-int words.  Recovery [Unix.map_file]s the data region and
-   adopts zero-copy {!Lb_util.Column} views as trie levels, so a restart
-   skips both the O(n log n) re-sort and the O(n) heap allocation - the
-   kernel pages the data in lazily and the GC never sees it.
+   A raw columnar image of a catalog: per relation, the
+   lexicographically sorted columns as native-int words, read back as
+   zero-copy {!Lb_util.Column} views over a [Unix.map_file] mapping.
+   Kept only for perfbench's trace; the server neither writes nor reads
+   it (recovery adopts the JSON document's sorted rows).
 
-   The image is a cache, never the authority: its CRC-framed header
+   The image is never the authority: its CRC-framed header
    carries a [stamp] (the digest of the JSON snapshot it was built
    from), and [read_image] returns [None] unless the caller's stamp
-   matches - any mismatch, torn header, or short file falls back to the
-   JSON path.  The data region itself is not checksummed; it is trusted
+   matches - any mismatch, torn header, or short file reads as
+   absent.  The data region itself is not checksummed; it is trusted
    exactly as far as the stamp ties it to the CRC'd JSON document.
 
    Layout: magic, one Wal-framed canonical-JSON header

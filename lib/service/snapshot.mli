@@ -12,8 +12,16 @@ val write : path:string -> Json.t -> unit
     raises. *)
 val read : string -> Json.t option
 
-(** [cols_path path] is the columnar image sidecar written next to the
-    JSON snapshot at [path] (currently [path ^ ".cols"]). *)
+(** {1 Columnar image}
+
+    The functions below are kept only for perfbench's trace, which
+    times an image write per checkpoint; the server neither writes nor
+    reads an image, and recovery adopts the JSON document's sorted
+    rows directly.  A [snapshot.lbt.cols] file left in a data directory
+    by an older version is ignored and can be deleted. *)
+
+(** [cols_path path] is the columnar image sidecar next to the JSON
+    snapshot at [path] ([path ^ ".cols"]). *)
 val cols_path : string -> string
 
 (** [write_image ~path ~stamp rels] atomically replaces the columnar
@@ -21,8 +29,8 @@ val cols_path : string -> string
     [(name, nrows, cols)]: the relation's row count and its trie-level
     columns (each of length [nrows], lexicographically sorted - exactly
     what {!Lb_relalg.Trie.column} exposes after a build).  [stamp] must
-    identify the JSON snapshot the image mirrors (the server uses a
-    digest of the snapshot payload); {!read_image} refuses the image
+    identify the JSON snapshot the image mirrors (for example a digest
+    of the snapshot payload); {!read_image} refuses the image
     under any other stamp.  The raw data region is written through an
     [Unix.map_file] mapping, so columns of any size are blitted without
     heap copies. *)
@@ -34,7 +42,7 @@ val write_image :
     mapped data, one [(name, nrows, columns)] per relation in image
     order.  Returns [None] - never raises - when the sidecar is
     missing, torn, shorter than its header promises, or stamped for a
-    different snapshot; recovery then rebuilds from the JSON document.
+    different snapshot.
     The data region is deliberately not checksummed (the image is a
     cache keyed by the CRC-framed header's stamp); the JSON snapshot
     remains the authority. *)

@@ -10,8 +10,7 @@
    Semantics match [int array] exactly (same 63-bit boxing-free ints,
    same bounds discipline), so swapping a column in is a pure layout
    change: answers and counters stay bit-identical.  Sub-views share
-   storage (zero-copy), which is what the mmap'd snapshot read path and
-   arena scratch allocation are built on. *)
+   storage (zero-copy). *)
 
 type t = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -81,5 +80,5 @@ let equal (a : t) (b : t) =
   go 0
 
 (* Reinterpret a mapped (or otherwise externally produced) int bigarray
-   as a column - the mmap snapshot read path hands these out. *)
+   as a column - Snapshot.read_image hands these out. *)
 let of_genarray g : t = Bigarray.array1_of_genarray g

@@ -1,16 +1,14 @@
-(* Off-heap columnar storage layer: unit tests for Column and Arena,
-   plus the seeded differential suite that pins the bit-identity gate
-   of the storage swap - a Column-backed Trie / Delta_trie walked
-   against an [int array]-based oracle on random data, including the
-   gallop boundary cases (empty ranges, lo = hi, value past the end)
-   and the mmap snapshot image round trip. *)
+(* Off-heap columnar storage layer: unit tests for Column, plus the
+   seeded differential suite that pins the bit-identity gate of the
+   storage swap - a Column-backed Trie walked against an [int
+   array]-based oracle on random data, including the gallop boundary
+   cases (empty ranges, lo = hi, value past the end) - and the mmap
+   snapshot image round trip. *)
 
 module Column = Lb_util.Column
-module Arena = Lb_util.Arena
 module Prng = Lb_util.Prng
 module R = Lb_relalg.Relation
 module Trie = Lb_relalg.Trie
-module Delta_trie = Lb_relalg.Delta_trie
 module Json = Lb_service.Json
 module Snapshot = Lb_service.Snapshot
 
@@ -70,42 +68,6 @@ let test_column_blit () =
   Column.blit ~src:c ~src_pos:0 ~dst:c ~dst_pos:1 ~len:4;
   check Alcotest.(list int) "overlap" [ 0; 0; 1; 2; 3 ]
     (Array.to_list (Column.to_array c))
-
-(* --- Arena unit tests --- *)
-
-let test_arena_bump_and_release () =
-  let a = Arena.create ~capacity:8 () in
-  let m0 = Arena.mark a in
-  let x = Arena.alloc a 3 in
-  let y = Arena.alloc a 2 in
-  check Alcotest.int "used" 5 (Arena.used a);
-  Column.fill x 7;
-  Column.fill y 9;
-  check Alcotest.int "disjoint views (x)" 7 (Column.get x 2);
-  check Alcotest.int "disjoint views (y)" 9 (Column.get y 0);
-  Arena.release a m0;
-  check Alcotest.int "released" 0 (Arena.used a)
-
-let test_arena_growth_keeps_views () =
-  let a = Arena.create ~capacity:4 () in
-  let m0 = Arena.mark a in
-  let x = Arena.alloc a 3 in
-  Column.fill x 5;
-  (* does not fit: the chunk is retired, not freed, so [x] stays valid *)
-  let y = Arena.alloc a 100 in
-  check Alcotest.int "grown" 1 (Arena.grown a);
-  check Alcotest.int "old view intact" 5 (Column.get x 2);
-  check Alcotest.int "new view sized" 100 (Column.length y);
-  Alcotest.(check bool) "capacity covers both" true (Arena.capacity a >= 103);
-  Arena.release a m0;
-  check Alcotest.int "release drops retirees" 0 (Arena.used a);
-  Arena.reset a;
-  check Alcotest.int "reset keeps largest chunk only" 0 (Arena.used a)
-
-let test_arena_invalid () =
-  Alcotest.check_raises "negative alloc"
-    (Invalid_argument "Arena.alloc: negative size") (fun () ->
-      ignore (Arena.alloc (Arena.create ()) (-1)))
 
 (* --- gallop boundary cases --- *)
 
@@ -178,27 +140,6 @@ let trie_vs_oracle_prop () =
       (ctxt ^ ": walk = oracle")
       (Array.to_list (Array.map Array.to_list oracle))
       (Array.to_list (Array.map Array.to_list (rows_of_trie trie)));
-    (* scratch-backed build is bit-identical *)
-    let arena = Arena.create ~capacity:16 () in
-    let trie' = Trie.build ~scratch:arena ~order:attrs rel in
-    check Alcotest.int (ctxt ^ ": scratch build leaves arena empty") 0
-      (Arena.used arena);
-    for d = 0 to width - 1 do
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: scratch column %d identical" ctxt d)
-        true
-        (Column.equal (Trie.column trie d) (Trie.column trie' d))
-    done;
-    (* of_columns over the same columns walks identically *)
-    let adopted =
-      Trie.of_columns attrs ~nrows:(Trie.row_count trie)
-        (Array.init width (Trie.column trie))
-    in
-    check
-      Alcotest.(list (list int))
-      (ctxt ^ ": of_columns walk")
-      (Array.to_list (Array.map Array.to_list oracle))
-      (Array.to_list (Array.map Array.to_list (rows_of_trie adopted)));
     (* seeks at depth 0 vs a naive scan over the oracle's first column *)
     let rows0 = Trie.row_count trie in
     for v = -1 to dom + 1 do
@@ -216,80 +157,6 @@ let trie_vs_oracle_prop () =
         !naive_gt
         (Trie.upper_bound trie ~depth:0 ~lo:0 ~hi:rows0 v)
     done
-  done
-
-(* Delta trie under a random write stream vs a sorted-set oracle:
-   membership, materialization, merged walks, and compaction counters
-   must all agree with the model. *)
-let delta_vs_oracle_prop () =
-  let iters = prop_count 30 in
-  for case = 0 to iters - 1 do
-    let rng = Prng.create (0xDE17A + (case * 6271)) in
-    let width = 1 + Prng.int rng 2 in
-    let dom = 1 + Prng.int rng 6 in
-    let attrs = Array.init width (fun i -> Printf.sprintf "c%d" i) in
-    let init = random_rows rng ~n:(Prng.int rng 20) ~width ~dom in
-    (* tiny compaction floor so the stream actually compacts *)
-    let dt = ref (Delta_trie.of_relation ~min_compact:4 (R.make attrs init)) in
-    let model = ref [] in
-    let model_add rows =
-      List.iter
-        (fun r -> if not (List.exists (fun m -> m = r) !model) then
-            model := Array.copy r :: !model)
-        rows
-    in
-    let model_del rows =
-      model := List.filter (fun m -> not (List.exists (fun r -> r = m) rows)) !model
-    in
-    model_add init;
-    let ctxt = Printf.sprintf "case %d (w=%d dom=%d)" case width dom in
-    for _step = 0 to 5 do
-      let inserts = random_rows rng ~n:(Prng.int rng 6) ~width ~dom in
-      let deletes = random_rows rng ~n:(Prng.int rng 6) ~width ~dom in
-      let { Delta_trie.dt = dt'; _ } =
-        Delta_trie.apply !dt ~inserts ~deletes
-      in
-      dt := dt';
-      model_del deletes;
-      model_add inserts;
-      let expect = sorted_distinct !model in
-      check Alcotest.int (ctxt ^ ": live_rows") (Array.length expect)
-        (Delta_trie.live_rows !dt);
-      check
-        Alcotest.(list (list int))
-        (ctxt ^ ": materialize")
-        (Array.to_list (Array.map Array.to_list expect))
-        (Array.to_list (Array.map Array.to_list (Delta_trie.materialize !dt)));
-      (* merged depth-0 iteration vs the oracle's distinct leading keys *)
-      let keys = ref [] in
-      Delta_trie.iter_keys !dt ~depth:0 (Delta_trie.root !dt) (fun v _ ->
-          keys := v :: !keys);
-      let expect_keys =
-        List.sort_uniq compare
-          (Array.to_list (Array.map (fun r -> r.(0)) expect))
-      in
-      check
-        Alcotest.(list int)
-        (ctxt ^ ": merged keys")
-        expect_keys (List.rev !keys);
-      (* membership of every row in the domain cube's slice we touched *)
-      List.iter
-        (fun r ->
-          Alcotest.(check bool)
-            (ctxt ^ ": mem")
-            (List.exists (fun m -> m = r) !model)
-            (Delta_trie.mem !dt r))
-        (inserts @ deletes)
-    done;
-    (* an explicit compaction is a no-op on content *)
-    let compacted = Delta_trie.compact !dt in
-    check
-      Alcotest.(list (list int))
-      (ctxt ^ ": compaction preserves rows")
-      (Array.to_list (Array.map Array.to_list (Delta_trie.materialize !dt)))
-      (Array.to_list (Array.map Array.to_list (Delta_trie.materialize compacted)));
-    check Alcotest.int (ctxt ^ ": compaction clears sides") 0
-      (Delta_trie.side_count compacted)
   done
 
 (* --- mmap snapshot image round trip --- *)
@@ -354,45 +221,15 @@ let test_image_missing () =
     "missing image reads as absent" true
     (Snapshot.read_image ~path ~stamp:"s" = None)
 
-(* Mapped columns adopted as a trie must answer exactly like a built
-   trie - the recovery fast path's contract. *)
-let test_image_as_trie () =
-  with_tmp_dir @@ fun dir ->
-  let path = Filename.concat dir "snapshot.lbt" in
-  let rng = Prng.create 0xC01 in
-  let rows = random_rows rng ~n:200 ~width:2 ~dom:25 in
-  let attrs = [| "u"; "v" |] in
-  let built = Trie.build ~order:attrs (R.make attrs rows) in
-  let nrows = Trie.row_count built in
-  Snapshot.write_image ~path ~stamp:"s"
-    [ ("E", nrows, Array.init 2 (Trie.column built)) ];
-  match Snapshot.read_image ~path ~stamp:"s" with
-  | None -> Alcotest.fail "image did not read back"
-  | Some [ (_, n, cols) ] ->
-      let mapped = Trie.of_columns attrs ~nrows:n cols in
-      check
-        Alcotest.(list (list int))
-        "mapped trie walks like the built one"
-        (Array.to_list (Array.map Array.to_list (rows_of_trie built)))
-        (Array.to_list (Array.map Array.to_list (rows_of_trie mapped)))
-  | Some _ -> Alcotest.fail "unexpected image shape"
-
 let suite =
   [
     Alcotest.test_case "column: basics" `Quick test_column_basics;
     Alcotest.test_case "column: array round trip" `Quick test_column_round_trip;
     Alcotest.test_case "column: sub views alias" `Quick test_column_sub_aliases;
     Alcotest.test_case "column: blit" `Quick test_column_blit;
-    Alcotest.test_case "arena: bump/release" `Quick test_arena_bump_and_release;
-    Alcotest.test_case "arena: growth keeps views" `Quick
-      test_arena_growth_keeps_views;
-    Alcotest.test_case "arena: invalid" `Quick test_arena_invalid;
     Alcotest.test_case "gallop: boundary cases" `Quick test_gallop_boundaries;
     Alcotest.test_case "prop: column trie vs array oracle" `Quick
       trie_vs_oracle_prop;
-    Alcotest.test_case "prop: delta trie vs set oracle" `Quick
-      delta_vs_oracle_prop;
     Alcotest.test_case "image: round trip" `Quick test_image_round_trip;
     Alcotest.test_case "image: missing" `Quick test_image_missing;
-    Alcotest.test_case "image: mapped trie walk" `Quick test_image_as_trie;
   ]

@@ -9,6 +9,9 @@
      back "degraded" with the complete (still identical) answer, and a
      restarted worker on the same port must rejoin (reseed) and serve
      again.
+   - Malformed slice: a worker whose subquery rows repeat a row is a
+     dispatch error; the server answers locally, identically, and
+     counts the fallback.
    - Cross-version splice fuzz: v2-only fields in v1 requests are
      ignored-with-counter; v1 requests stamped "v":2 against a plain
      server draw the structured reject. *)
@@ -40,12 +43,12 @@ let status json =
    previous worker died. *)
 let port_of slot = 7400 + (Unix.getpid () mod 997) + (slot * 13)
 
-let spawn_worker port =
+let spawn_worker ?(serve = fun port -> Worker.run ~port ()) port =
   match Unix.fork () with
   | 0 ->
       (* Child: serve until killed.  Never return into the test
          runner. *)
-      (try Worker.run ~port () with _ -> ());
+      (try serve port with _ -> ());
       Unix._exit 0
   | pid ->
       (* Wait for the listener to come up. *)
@@ -334,6 +337,78 @@ let test_cross_version_splice_fuzz () =
   let reply = Json.parse (Server.handle_line wrk bare) in
   check Alcotest.string "bare v2 op rejected" "error" (status reply)
 
+(* A worker whose subquery replies repeat their first row: a row in
+   two places of one slice cannot come from a shard split. *)
+let serve_repeating_first_row port =
+  let wrk = Worker.create () in
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt sock Unix.SO_REUSEADDR true;
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.listen sock 4;
+  while true do
+    let conn, _ = Unix.accept sock in
+    let ic = Unix.in_channel_of_descr conn
+    and oc = Unix.out_channel_of_descr conn in
+    (try
+       while true do
+         let line = input_line ic in
+         let reply = Server.handle_line wrk line in
+         let reply =
+           match (Json.member "op" (Json.parse line), Json.parse reply) with
+           | Some (Json.String "subquery"), Json.Obj fields ->
+               Json.to_string
+                 (Json.Obj
+                    (List.map
+                       (function
+                         | "rows", Json.List (r :: rs) ->
+                             ("rows", Json.List (r :: r :: rs))
+                         | kv -> kv)
+                       fields))
+           | _ -> reply
+         in
+         output_string oc (reply ^ "\n");
+         flush oc
+       done
+     with End_of_file | Sys_error _ -> ());
+    try Unix.close conn with Unix.Unix_error _ -> ()
+  done
+
+(* A malformed slice is a dispatch error, not something to re-sort:
+   the server answers locally - rows identical to a single-process
+   run - and counts the fallback under its cause. *)
+let test_malformed_slice_falls_back () =
+  let port = port_of 6 in
+  let pid = spawn_worker ~serve:serve_repeating_first_row port in
+  Fun.protect
+    ~finally:(fun () -> kill_worker pid)
+    (fun () ->
+      let shards = 2 in
+      let lines = [ List.hd session_lines; List.nth session_lines 1 ] in
+      let config =
+        { Server.default_config with shards; protocol_max = Protocol.max_version }
+      in
+      let srv = Server.create ~config () in
+      let coord =
+        Coordinator.attach ~timeout_ms:2000 srv ~shards
+          ~workers:[ ("127.0.0.1", port) ]
+      in
+      let dist = List.map Json.parse (Client.run_script_lines srv lines) in
+      Coordinator.detach coord;
+      List.iteri
+        (fun i (s, d) ->
+          check Alcotest.string
+            (Printf.sprintf "reply %d identical" i)
+            (Json.to_string (scrub s))
+            (Json.to_string (scrub d)))
+        (List.combine (run_single ~shards lines) dist);
+      let counter name =
+        Lb_util.Metrics.find_counter (Server.metrics srv) name
+      in
+      check Alcotest.(option int) "scattered" (Some 1)
+        (counter "serve.dist.scatters");
+      check Alcotest.(option int) "fell back as a dispatch error" (Some 1)
+        (counter "serve.dist.fallbacks.error"))
+
 (* In-process 2-worker smoke: the dist-smoke alias target.  Forks are
    cheap; this keeps `dune runtest` covering the wire path end to
    end. *)
@@ -362,4 +437,6 @@ let suite =
       test_worker_death_degrades_and_rejoins;
     Alcotest.test_case "cross-version splice fuzz" `Quick
       test_cross_version_splice_fuzz;
+    Alcotest.test_case "malformed slice falls back locally" `Quick
+      test_malformed_slice_falls_back;
   ]

@@ -1,14 +1,11 @@
 (* Tests for incremental view maintenance and the durable catalog.
 
-   - Delta-trie differential: random insert/delete batch sequences
-     applied through Delta_trie.apply must leave the trie
-     indistinguishable - materialized rows, live counts, membership,
-     and full trie navigation (iter_keys/narrow/seek at every depth) -
-     from a trie rebuilt from scratch over the surviving rows, with or
-     without compaction.
    - Catalog differential: random load/insert/delete/drop streams
-     against a naive set-semantics oracle; effective-row reports,
-     per-relation versions, and dump/restore round-trips must agree.
+     against a naive set-semantics oracle; effective-row reports
+     (in-batch duplicates, already-present inserts and absent deletes
+     included), ragged-batch errors, per-relation versions, snapshot
+     isolation of earlier databases, and dump/restore round-trips
+     (also from rows not in dump shape) must agree.
    - Server IVM differential: the same random query/write session run
      against IVM-maintained servers under every driver (sequential,
      pooled, sharded) and an oracle server with IVM off
@@ -32,7 +29,6 @@ module Ivm = Lb_service.Ivm
 module Q = Lb_relalg.Query
 module R = Lb_relalg.Relation
 module Db = Lb_relalg.Database
-module Delta_trie = Lb_relalg.Delta_trie
 module Prng = Lb_util.Prng
 module Metrics = Lb_util.Metrics
 module Pool = Lb_util.Pool
@@ -76,8 +72,7 @@ let random_row rng width dom = Array.init width (fun _ -> Prng.int rng dom)
 
 let random_rows rng ~width ~n ~dom = List.init n (fun _ -> random_row rng width dom)
 
-(* Set-semantics oracle for one write batch, deletes first (the
-   Delta_trie.apply order). *)
+(* Set-semantics oracle for one write batch, deletes first. *)
 let oracle_apply live ~inserts ~deletes =
   let tbl = Hashtbl.create 64 in
   Array.iter (fun r -> Hashtbl.replace tbl (Array.to_list r) r) live;
@@ -89,133 +84,12 @@ let oracle_apply live ~inserts ~deletes =
     inserts;
   sorted_distinct (Hashtbl.fold (fun _ r acc -> r :: acc) tbl [])
 
-(* --- delta-trie differential --- *)
-
-(* Walk two tries in lockstep and require identical live keys, live
-   counts, and seek results at every depth. *)
-let rec check_navigation ctxt dt fresh ~depth ~width node_dt node_fresh rng =
-  check Alcotest.int
-    (ctxt ^ ": node_live")
-    (Delta_trie.node_live fresh node_fresh)
-    (Delta_trie.node_live dt node_dt);
-  if depth < width then begin
-    let keys_of t node =
-      let acc = ref [] in
-      Delta_trie.iter_keys t ~depth node (fun k child ->
-          acc := (k, child) :: !acc);
-      List.rev !acc
-    in
-    let ks_dt = keys_of dt node_dt and ks_fresh = keys_of fresh node_fresh in
-    check
-      Alcotest.(list int)
-      (Printf.sprintf "%s: keys at depth %d" ctxt depth)
-      (List.map fst ks_fresh) (List.map fst ks_dt);
-    (* seek: probe below, between, and above the key range *)
-    let probes =
-      match ks_fresh with
-      | [] -> [ 0; 1 ]
-      | ks ->
-          let lo = fst (List.hd ks) and hi = fst (List.nth ks (List.length ks - 1)) in
-          [ lo - 1; lo; (lo + hi) / 2; hi; hi + 1; Prng.int rng (hi + 2) ]
-    in
-    List.iter
-      (fun v ->
-        let key = function None -> None | Some (k, _) -> Some k in
-        check
-          Alcotest.(option int)
-          (Printf.sprintf "%s: seek %d at depth %d" ctxt v depth)
-          (key (Delta_trie.seek fresh ~depth node_fresh v))
-          (key (Delta_trie.seek dt ~depth node_dt v)))
-      probes;
-    (* narrow on a present and an absent key *)
-    (match ks_fresh with
-    | (k, _) :: _ ->
-        check Alcotest.bool
-          (Printf.sprintf "%s: narrow hit at depth %d" ctxt depth)
-          true
-          (Delta_trie.narrow dt ~depth node_dt k <> None)
-    | [] -> ());
-    List.iter2
-      (fun (_, child_dt) (_, child_fresh) ->
-        check_navigation ctxt dt fresh ~depth:(depth + 1) ~width child_dt
-          child_fresh rng)
-      ks_dt ks_fresh
-  end
-
-let check_trie_state ctxt dt oracle attrs rng =
-  let width = Array.length attrs in
-  check_rows (ctxt ^ ": materialize") oracle (Delta_trie.materialize dt);
-  check Alcotest.int (ctxt ^ ": live_rows") (Array.length oracle)
-    (Delta_trie.live_rows dt);
-  let fresh = Delta_trie.of_relation (R.of_sorted_distinct attrs oracle) in
-  check_navigation ctxt dt fresh ~depth:0 ~width (Delta_trie.root dt)
-    (Delta_trie.root fresh) rng;
-  (* membership: every live row, plus random probes *)
-  Array.iter
-    (fun r ->
-      check Alcotest.bool (ctxt ^ ": mem live") true (Delta_trie.mem dt r))
-    oracle;
-  for _ = 1 to 8 do
-    let probe = random_row rng width 6 in
-    check Alcotest.bool (ctxt ^ ": mem probe")
-      (Array.exists (fun r -> compare r probe = 0) oracle)
-      (Delta_trie.mem dt probe)
-  done
-
-let test_delta_trie_differential () =
-  for round = 1 to rounds do
-    let rng = Prng.create (9_100 + round) in
-    let width = 1 + Prng.int rng 3 in
-    let attrs = Array.init width (fun i -> Printf.sprintf "a%d" i) in
-    let dom = 2 + Prng.int rng 5 in
-    let base_rows = random_rows rng ~width ~n:(Prng.int rng 30) ~dom in
-    let auto_compact = Prng.bool rng in
-    let dt =
-      ref
-        (Delta_trie.of_relation ~min_compact:4 (R.make attrs base_rows))
-    in
-    let oracle = ref (sorted_distinct base_rows) in
-    let steps = 2 + Prng.int rng 6 in
-    for step = 1 to steps do
-      let inserts = random_rows rng ~width ~n:(Prng.int rng 8) ~dom in
-      let deletes =
-        (* half fresh rows, half rows sampled from the live set so
-           deletes actually hit *)
-        random_rows rng ~width ~n:(Prng.int rng 4) ~dom
-        @ (if Array.length !oracle = 0 then []
-           else
-             List.init (Prng.int rng 4) (fun _ ->
-                 !oracle.(Prng.int rng (Array.length !oracle))))
-      in
-      let before = !oracle in
-      let after = oracle_apply before ~inserts ~deletes in
-      let applied = Delta_trie.apply ~auto_compact !dt ~inserts ~deletes in
-      let ctxt = Printf.sprintf "round %d step %d" round step in
-      check_rows (ctxt ^ ": added") (Ivm.diff_rows after before) applied.added;
-      check_rows (ctxt ^ ": removed") (Ivm.diff_rows before after)
-        applied.removed;
-      dt := applied.dt;
-      oracle := after;
-      check_trie_state ctxt !dt !oracle attrs rng;
-      (* snapshot isolation: the pre-batch value still answers for the
-         pre-batch rows *)
-      if step = 1 then
-        check Alcotest.int (ctxt ^ ": old value untouched")
-          (Array.length before)
-          (Delta_trie.live_rows
-             (Delta_trie.of_relation (R.of_sorted_distinct attrs before)))
-    done;
-    (* explicit compaction folds every side away without changing
-       content *)
-    let compacted = Delta_trie.compact !dt in
-    check Alcotest.int "compact: no sides" 0 (Delta_trie.side_count compacted);
-    check Alcotest.int "compact: no delta rows" 0
-      (Delta_trie.delta_rows compacted);
-    check_rows "compact: materialize" !oracle
-      (Delta_trie.materialize compacted)
-  done
-
 (* --- catalog differential --- *)
+
+(* [n] rows drawn from [rows] (with repeats); none when it is empty. *)
+let sample rng rows n =
+  if Array.length rows = 0 then []
+  else List.init n (fun _ -> rows.(Prng.int rng (Array.length rows)))
 
 let test_catalog_differential () =
   let names = [| "R"; "S"; "T" |] in
@@ -232,12 +106,24 @@ let test_catalog_differential () =
       Hashtbl.replace versions name
         (1 + Option.value ~default:0 (Hashtbl.find_opt versions name))
     in
+    (* a snapshot taken early must dump the same rows after every later
+       write: writes build new row arrays and never mutate old ones *)
+    let early = ref None in
     for step = 1 to 16 do
       let name = names.(Prng.int rng (Array.length names)) in
       let ctxt = Printf.sprintf "round %d step %d %s" round step name in
       let width = 2 in
       let dom = 4 in
-      (match Prng.int rng 4 with
+      if step = 5 then begin
+        let db = Catalog.database cat in
+        early :=
+          Some
+            ( db,
+              List.map
+                (fun n -> (n, Array.map Array.copy (R.tuples (Db.find db n))))
+                (Db.names db) )
+      end;
+      (match Prng.int rng 5 with
       | 0 ->
           let attrs = [| "u"; "v" |] in
           let tuples = random_rows rng ~width ~n:(Prng.int rng 10) ~dom in
@@ -251,7 +137,13 @@ let test_catalog_differential () =
           | Error msg -> Alcotest.failf "%s: load failed: %s" ctxt msg)
       | 1 when Hashtbl.mem oracle name ->
           let attrs, old_rows = Hashtbl.find oracle name in
-          let tuples = random_rows rng ~width ~n:(Prng.int rng 6) ~dom in
+          let fresh = random_rows rng ~width ~n:(Prng.int rng 6) ~dom in
+          (* in-batch duplicates and already-present rows are no-ops *)
+          let tuples =
+            fresh
+            @ List.filteri (fun i _ -> i mod 2 = 0) fresh
+            @ sample rng old_rows (Prng.int rng 3)
+          in
           (match Catalog.insert cat ~name tuples with
           | Ok (card, added) ->
               bump name;
@@ -265,13 +157,12 @@ let test_catalog_differential () =
           | Error msg -> Alcotest.failf "%s: insert failed: %s" ctxt msg)
       | 2 when Hashtbl.mem oracle name ->
           let attrs, old_rows = Hashtbl.find oracle name in
+          (* absent rows, present rows, and in-batch duplicates *)
           let tuples =
             random_rows rng ~width ~n:(Prng.int rng 3) ~dom
-            @ (if Array.length old_rows = 0 then []
-               else
-                 List.init (Prng.int rng 3) (fun _ ->
-                     old_rows.(Prng.int rng (Array.length old_rows))))
+            @ sample rng old_rows (Prng.int rng 3)
           in
+          let tuples = tuples @ List.filteri (fun i _ -> i mod 2 = 1) tuples in
           (match Catalog.delete cat ~name tuples with
           | Ok (card, removed) ->
               bump name;
@@ -289,6 +180,19 @@ let test_catalog_differential () =
               bump name;
               Hashtbl.remove oracle name
           | Error msg -> Alcotest.failf "%s: drop failed: %s" ctxt msg)
+      | 4 when Hashtbl.mem oracle name ->
+          (* one ragged row anywhere in the batch rejects the whole
+             write; the state checks below see nothing changed *)
+          let ok = random_rows rng ~width ~n:(Prng.int rng 3) ~dom in
+          let tuples = ok @ [ [| 1; 2; 3 |] ] @ ok in
+          let write = if Prng.bool rng then Catalog.insert else Catalog.delete in
+          (match write cat ~name tuples with
+          | Ok _ -> Alcotest.failf "%s: ragged write accepted" ctxt
+          | Error msg ->
+              check Alcotest.string (ctxt ^ ": ragged error")
+                (Printf.sprintf "tuple of width 3 does not fit %S (width 2)"
+                   name)
+                msg)
       | _ -> ());
       (* full-state comparison after every step *)
       check Alcotest.int (ctxt ^ ": global version") !global
@@ -318,10 +222,20 @@ let test_catalog_differential () =
             v (Catalog.rel_version cat n))
         versions
     done;
+    (match !early with
+    | Some (db, rows) ->
+        List.iter
+          (fun (n, want) ->
+            check_rows
+              (Printf.sprintf "round %d: early snapshot of %s" round n)
+              want
+              (R.tuples (Db.find db n)))
+          rows
+    | None -> ());
     (* dump/restore round-trip preserves content and provenance *)
     let dump = Catalog.dump cat in
     let cat2 = Catalog.create () in
-    ignore (Catalog.restore cat2 ~version:(Catalog.version cat) dump);
+    Catalog.restore cat2 ~version:(Catalog.version cat) dump;
     check Alcotest.int "restore: version" (Catalog.version cat)
       (Catalog.version cat2);
     check
@@ -335,7 +249,27 @@ let test_catalog_differential () =
         check_rows ("restore: rows " ^ n)
           (R.tuples (Db.find (Catalog.database cat) n))
           (R.tuples (Db.find (Catalog.database cat2) n)))
-      dump
+      dump;
+    (* rows not in dump shape (unsorted, duplicated) restore to the
+       state R.make gives them *)
+    let messy =
+      List.map
+        (fun (n, attrs, rows, rv) ->
+          let rev = Array.of_list (List.rev (Array.to_list rows)) in
+          (n, attrs, Array.append rev rows, rv))
+        dump
+    in
+    let cat3 = Catalog.create () in
+    Catalog.restore cat3 ~version:(Catalog.version cat) messy;
+    List.iter
+      (fun (n, attrs, rows, _) ->
+        check_rows ("restore messy: rows " ^ n)
+          (R.tuples (R.make attrs (Array.to_list rows)))
+          (R.tuples (Db.find (Catalog.database cat3) n));
+        check Alcotest.int ("restore messy: rel_version " ^ n)
+          (Catalog.rel_version cat n)
+          (Catalog.rel_version cat3 n))
+      messy
   done
 
 (* --- server IVM differential across drivers --- *)
@@ -825,8 +759,6 @@ let test_restart_with_corrupt_tail () =
 
 let suite =
   [
-    Alcotest.test_case "delta-trie differential vs rebuilt trie" `Quick
-      test_delta_trie_differential;
     Alcotest.test_case "catalog differential + dump/restore round-trip"
       `Quick test_catalog_differential;
     Alcotest.test_case "server IVM differential across drivers" `Quick

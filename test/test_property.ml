@@ -607,7 +607,8 @@ let sharded_skew_split () =
     (fun inst -> sharded_bit_identical inst)
 
 (* Shard module laws: partition preserves content, co-partitions align,
-   merge_sorted restores the relation. *)
+   merge_sorted restores the relation - and rejects, rather than
+   re-sorts, shards that are out of order or overlap. *)
 let shard_partition_roundtrip () =
   check ~name:"shard_partition_roundtrip" ~base:0x64 ~max_size:10
     (fun rng ~size ->
@@ -628,7 +629,19 @@ let shard_partition_roundtrip () =
                       (fun t -> Shard.shard_of ~k t.(0) = s)
                       (Rel.tuples p))
              |> List.for_all Fun.id)
-        [ 1; 2; 5 ])
+        [ 1; 2; 5 ]
+      &&
+      let attrs = Rel.attrs r and rows = Rel.tuples r in
+      let rejects shards =
+        match Shard.merge_sorted (Array.map (Rel.of_sorted_distinct attrs) shards) with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      let n = Array.length rows in
+      (* reversed rows: out of order once there are two *)
+      (n < 2 || rejects [| Array.of_list (List.rev (Array.to_list rows)) |])
+      (* a row in two shards: the merge would emit it twice *)
+      && rejects [| rows; [| rows.(n / 2) |] |])
 
 (* The view's split: one pass that keeps input order, each bucket built
    without a sort.  On the sorted duplicate-free relations every
